@@ -249,9 +249,16 @@ def _cmd_ordinal_eval(args) -> int:
     return EXIT_OK
 
 
+def _open_trace(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError("--trace", f"cannot write {path}: {exc}") from exc
+
+
 def _write_step_trace(args, trace) -> None:
     if getattr(args, "trace", None):
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
+        with _open_trace(args.trace) as fh:
             engine.write_trace_csv(trace, fh)
 
 
@@ -271,7 +278,7 @@ def _write_closed_form_trace(args, domain, op, start, rank: Ordinal) -> None:
         if prev not in samples:
             samples.append(prev)
     samples.extend([rank, succ(rank)])
-    with open(args.trace, "w", encoding="utf-8", newline="") as fh:
+    with _open_trace(args.trace) as fh:
         writer = _csv.writer(fh)
         writer.writerow(["stage_index", "size_metric", "is_fixpoint"])
         for alpha in samples:
@@ -427,9 +434,18 @@ def _pair_list(rel: relations.CellRelation) -> list[list[str]]:
     return [list(p) for p in sorted(rel.pairs())]
 
 
+def _node_budget(args) -> int | None:
+    if args.node_budget is not None and args.node_budget < 0:
+        raise InputError("--node-budget", "must be >= 0")
+    return args.node_budget
+
+
 def _cmd_subshift_ie(args) -> int:
     spec = _load_sft(args.instance)
-    evidence = subshift.ie_evidence(spec, args.n, args.horizon, args.density)
+    node_budget = _node_budget(args)
+    evidence = subshift.ie_evidence(
+        spec, args.n, args.horizon, args.density, node_budget
+    )
     certified = []
     for (u, v), cert in sorted(evidence.certificates.items()):
         if u <= v:
@@ -453,14 +469,21 @@ def _cmd_subshift_ie(args) -> int:
         "upper": _pair_list(evidence.upper),
         "certified": certified,
     }
+    unknown = sorted(
+        [u, v] for (u, v), status in evidence.statuses.items() if status == "unknown"
+    )
+    if node_budget is not None:
+        report["node_budget"] = node_budget
+        report["unknown"] = unknown
     _print(report, args)
-    return EXIT_OK
+    return EXIT_INDETERMINATE if unknown else EXIT_OK
 
 
 def _cmd_subshift_cpe(args) -> int:
     spec = _load_sft(args.instance)
+    node_budget = _node_budget(args)
     report_obj = subshift.entropy_rank_report(
-        spec, args.n, args.horizon, args.density, args.budget
+        spec, args.n, args.horizon, args.density, args.budget, node_budget
     )
     levels = [
         {
@@ -492,6 +515,8 @@ def _cmd_subshift_cpe(args) -> int:
         "levels": levels,
         "verdict": report_obj.verdict,
     }
+    if node_budget is not None:
+        report["params"]["node_budget"] = node_budget
     _print(report, args)
     if report_obj.verdict == subshift.VERDICT_CONSISTENT:
         return EXIT_OK
@@ -645,6 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ie.add_argument("--n", type=int, default=1)
     p_ie.add_argument("--horizon", type=int, default=8)
     p_ie.add_argument("--density", default="0.5")
+    p_ie.add_argument("--node-budget", type=int, default=None)
     p_ie.set_defaults(handler=_cmd_subshift_ie)
     p_cpe = sub_sub.add_parser("cpe-report")
     p_cpe.add_argument("instance")
@@ -652,6 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cpe.add_argument("--horizon", type=int, default=8)
     p_cpe.add_argument("--density", default="0.5")
     p_cpe.add_argument("--budget", type=int, default=16)
+    p_cpe.add_argument("--node-budget", type=int, default=None)
     p_cpe.set_defaults(handler=_cmd_subshift_cpe)
 
     p_cert = sub.add_parser("cert", help="rank certificates")

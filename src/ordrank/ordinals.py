@@ -229,8 +229,12 @@ def omega_log_ceiling(a: Ordinal) -> Ordinal:
 #
 # '^' binds tighter than '*', which binds tighter than '+', so the exponent
 # position accepts only '0', a nat, or a right-nested 'w^...' tower.  Any
-# grammar-valid input is accepted; non-canonical spellings such as "w+w"
-# are normalized by folding terms through `add`.
+# grammar-valid input is accepted, except exponent towers higher than
+# MAX_TOWER_HEIGHT: comparison and rendering recurse once per level, so a
+# higher tower would exhaust the interpreter's stack.  Non-canonical
+# spellings such as "w+w" are normalized by folding terms through `add`.
+
+MAX_TOWER_HEIGHT = 200
 
 
 class _Parser:
@@ -261,7 +265,7 @@ class _Parser:
             exponent = ONE
             if self.peek() == "^":
                 self.pos += 1
-                exponent = self.parse_exponent()
+                exponent = self.parse_exponent(1)
             coefficient = 1
             if self.peek() == "*":
                 self.pos += 1
@@ -271,7 +275,9 @@ class _Parser:
             return from_int(self.parse_nat())
         self.fail("expected 'w', a digit, or '0'")
 
-    def parse_exponent(self) -> Ordinal:
+    def parse_exponent(self, height: int) -> Ordinal:
+        if height > MAX_TOWER_HEIGHT:
+            self.fail(f"exponent tower higher than {MAX_TOWER_HEIGHT}")
         ch = self.peek()
         if ch == "0":
             self.pos += 1
@@ -280,7 +286,7 @@ class _Parser:
             self.pos += 1
             if self.peek() == "^":
                 self.pos += 1
-                return omega_power(self.parse_exponent())
+                return omega_power(self.parse_exponent(height + 1))
             return OMEGA
         if ch.isdigit():
             return from_int(self.parse_nat())

@@ -4,9 +4,13 @@ One-sided shift spaces over a finite alphabet, presented by forbidden
 words and pruned to right-extendable windows, so word counts are counts of
 words that actually occur in points of the space.  Entropy comes in two
 independent flavours (word-count estimates and the spectral radius of the
-transition graph), independence of word pairs is decided exactly by
-windowed path search, and density-certified independence feeds the
-equivalence-closure towers that power the entropy-rank reports.
+transition graph).  Realizability and independence of word pairs are
+decided exactly by one left-to-right frontier sweep over the window graph,
+which for independence keeps only the subset-minimal frontiers of its u/v
+branches; the slot search carries that sweep from slot to slot, so each
+candidate slot costs time linear in the gap times the antichain size.
+Density-certified independence feeds the equivalence-closure towers that
+power the entropy-rank reports.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -103,6 +107,11 @@ def parse_subshift(text: str) -> SubshiftSpec:
     return spec_from_dict(data)
 
 
+# Distinct specs whose presentation (and stepper) stay cached; older ones are
+# rebuilt on demand.
+GRAPH_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
     """Pruned order-m de Bruijn presentation of the shift space.
@@ -115,16 +124,14 @@ class TransitionGraph:
     order: int
     states: tuple[str, ...]
     edges: tuple[tuple[str, ...], ...]  # edges[i] lists successors of states[i]
-
-    def successors(self, state: str) -> tuple[str, ...]:
-        return self.edges[self.states.index(state)]
+    targets: tuple[tuple[int, ...], ...]  # the same successors, as indices
 
 
 def _admissible(word: str, forbidden: Sequence[str]) -> bool:
     return not any(bad in word for bad in forbidden)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def build_graph(spec: SubshiftSpec) -> TransitionGraph:
     order = max([len(w) for w in spec.forbidden] + [2]) - 1
     candidates = [
@@ -153,7 +160,9 @@ def build_graph(spec: SubshiftSpec) -> TransitionGraph:
         raise EmptySubshiftError("empty subshift")
     states = tuple(sorted(alive))
     edges = tuple(tuple(sorted(t for t in out(s) if t in alive)) for s in states)
-    return TransitionGraph(order=order, states=states, edges=edges)
+    index = {s: i for i, s in enumerate(states)}
+    targets = tuple(tuple(index[t] for t in row) for row in edges)
+    return TransitionGraph(order=order, states=states, edges=edges, targets=targets)
 
 
 def count_words(spec: SubshiftSpec, n: int) -> int:
@@ -164,13 +173,9 @@ def count_words(spec: SubshiftSpec, n: int) -> int:
     m = graph.order
     if n <= m:
         return len({state[:n] for state in graph.states})
-    index = {s: i for i, s in enumerate(graph.states)}
     paths = [1] * len(graph.states)
     for _ in range(n - m):
-        paths = [
-            sum(paths[index[t]] for t in graph.edges[i])
-            for i in range(len(graph.states))
-        ]
+        paths = [sum(paths[t] for t in row) for row in graph.targets]
     return sum(paths)
 
 
@@ -182,15 +187,14 @@ def enumerate_words(spec: SubshiftSpec, n: int) -> list[str]:
     m = graph.order
     if n <= m:
         return sorted({state[:n] for state in graph.states})
-    words = set()
-    frontier = [(s, s) for s in graph.states]
+    frontier = list(enumerate(graph.states))
     for _ in range(n - m):
-        nxt = []
-        for word, state in frontier:
-            for t in graph.successors(state):
-                nxt.append((word + t[-1], t))
-        frontier = nxt
-    return sorted({word for word, _ in frontier})
+        frontier = [
+            (t, word + graph.states[t][-1])
+            for state, word in frontier
+            for t in graph.targets[state]
+        ]
+    return sorted({word for _, word in frontier})
 
 
 def entropy_estimate(spec: SubshiftSpec, n: int) -> float:
@@ -198,7 +202,7 @@ def entropy_estimate(spec: SubshiftSpec, n: int) -> float:
     return math.log(count_words(spec, n)) / n
 
 
-def _scc_partition(n: int, succ: list[list[int]]) -> list[list[int]]:
+def _scc_partition(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Kosaraju strongly connected components, iterative."""
     visited = [False] * n
     order: list[int] = []
@@ -251,8 +255,7 @@ def entropy_spectral(
     if tol <= 0:
         raise ValueError("tol must be positive")
     graph = build_graph(spec)
-    index = {s: i for i, s in enumerate(graph.states)}
-    succ = [[index[t] for t in graph.edges[i]] for i in range(len(graph.states))]
+    succ = graph.targets
     best = 0.0
     for comp in _scc_partition(len(graph.states), succ):
         inside = set(comp)
@@ -290,6 +293,128 @@ def entropy_spectral(
 
 
 # -- realizability and independence ---------------------------------------
+#
+# Both questions are answered by one left-to-right sweep over shift
+# positions.  A frontier is the set of window-graph states a point can be in
+# given the prescriptions seen so far, kept as a bitmask over graph.states.
+# Independence branches over u/v at every anchor and keeps, for each set of
+# still-pending prescribed symbols, only the subset-minimal frontiers (an
+# antichain): a past choice reaches the future only through its frontier,
+# and a superset frontier survives whatever its subset survives.  So J is
+# independent iff no branch's frontier ever empties (De Wulf, Doyen,
+# Henzinger & Raskin, "Antichains: a new algorithm for checking
+# universality of finite automata", CAV 2006).
+
+
+def _mask(indices: Iterable[int]) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+class _Stepper:
+    """Advances a frontier by one shift position.
+
+    Below index `order` a frontier is the set of possible first windows, so
+    a prescribed symbol filters it.  From `order` on it is the set of
+    possible windows ending at the index, so a symbol follows the edges
+    whose target ends in it, and a free index (symbol None) follows every
+    edge.
+    """
+
+    def __init__(self, graph: TransitionGraph, alphabet: Sequence[str]):
+        states = graph.states
+        self.order = graph.order
+        self.full = (1 << len(states)) - 1
+        self.filters = [
+            {a: _mask(k for k, s in enumerate(states) if s[i] == a) for a in alphabet}
+            for i in range(graph.order)
+        ]
+        self.images = {None: [_mask(row) for row in graph.targets]}
+        for a in alphabet:
+            self.images[a] = [
+                _mask(t for t in row if states[t][-1] == a) for row in graph.targets
+            ]
+
+    def __call__(self, frontier: int, index: int, symbol: str | None) -> int:
+        if index < self.order:
+            if symbol is None:
+                return frontier
+            return frontier & self.filters[index][symbol]
+        table = self.images[symbol]
+        image = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            image |= table[low.bit_length() - 1]
+            rest ^= low
+        return image
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _stepper(spec: SubshiftSpec) -> _Stepper:
+    return _Stepper(build_graph(spec), spec.alphabet)
+
+
+def _insert_minimal(antichain: list[int], frontier: int) -> None:
+    """Add `frontier` to a list of subset-minimal frontiers, keeping it so."""
+    for f in antichain:
+        if f & frontier == f:
+            return
+    antichain[:] = [g for g in antichain if frontier & g != frontier]
+    antichain.append(frontier)
+
+
+# A sweep state maps the prescribed symbols still pending (a word starting at
+# the current index) to the antichain of frontiers of the branches that left
+# them; a fresh sweep is {"": [stepper.full]}.
+_SweepState = dict[str, list[int]]
+
+
+def _sweep(
+    step: _Stepper,
+    state: _SweepState,
+    start: int,
+    stop: int,
+    anchors: Container[int] = (),
+    words: Sequence[str] = (),
+) -> _SweepState | None:
+    """Advance `state` over the indices [start, stop).
+
+    At each index in `anchors`, every branch takes each of `words` in turn.
+    Returns None as soon as some branch is unrealizable: two prescriptions
+    disagree on a symbol, or a frontier empties.
+    """
+    for i in range(start, stop):
+        if i in anchors:
+            branched: _SweepState = {}
+            for pending, antichain in state.items():
+                for word in words:
+                    shared = min(len(pending), len(word))
+                    if pending[:shared] != word[:shared]:
+                        return None
+                    bucket = branched.setdefault(max(pending, word, key=len), [])
+                    for f in antichain:
+                        _insert_minimal(bucket, f)
+            state = branched
+        advanced: _SweepState = {}
+        for pending, antichain in state.items():
+            symbol = pending[0] if pending else None
+            bucket = advanced.setdefault(pending[1:], [])
+            for f in antichain:
+                image = step(f, i, symbol)
+                if not image:
+                    return None
+                _insert_minimal(bucket, image)
+        state = advanced
+    return state
+
+
+def _check_words(spec: SubshiftSpec, *words: str) -> None:
+    for word in words:
+        if not word or any(ch not in spec.alphabet for ch in word):
+            raise ValueError(f"word {word!r} is not over the alphabet")
 
 
 def realizable(
@@ -297,38 +422,23 @@ def realizable(
 ) -> bool:
     """Is some point of the space consistent with every (position, word)
     constraint?  Overlaps are resolved by direct symbol compatibility."""
-    graph = build_graph(spec)
-    m = graph.order
+    step = _stepper(spec)
     assigned: dict[int, str] = {}
     for position, word in constraints:
         if position < 0:
             raise ValueError("positions must be >= 0")
-        if not word or any(ch not in spec.alphabet for ch in word):
-            raise ValueError(f"word {word!r} is not over the alphabet")
+        _check_words(spec, word)
         for offset, symbol in enumerate(word):
             at = position + offset
             if assigned.get(at, symbol) != symbol:
                 return False
             assigned[at] = symbol
-    if not assigned:
-        return True
-    length = max(max(assigned) + 1, m)
-    frontier = {
-        s
-        for s in graph.states
-        if all(s[i] == assigned.get(i, s[i]) for i in range(m))
-    }
-    for t in range(1, length - m + 1):
-        want = assigned.get(t + m - 1)
-        nxt = set()
-        for state in frontier:
-            for target in graph.successors(state):
-                if want is None or target[-1] == want:
-                    nxt.add(target)
-        frontier = nxt
+    frontier = step.full
+    for i in range(max(assigned, default=-1) + 1):
+        frontier = step(frontier, i, assigned.get(i))
         if not frontier:
             return False
-    return bool(frontier)
+    return True
 
 
 def is_independent(
@@ -342,10 +452,12 @@ def is_independent(
         return True
     if u == v:
         return realizable(spec, [(j, u) for j in jset])
-    for choice in product((u, v), repeat=len(jset)):
-        if not realizable(spec, list(zip(jset, choice))):
-            return False
-    return True
+    if jset[0] < 0:
+        raise ValueError("positions must be >= 0")
+    _check_words(spec, u, v)
+    step = _stepper(spec)
+    fresh = {"": [step.full]}
+    return _sweep(step, fresh, 0, jset[-1] + len(u), set(jset), (u, v)) is not None
 
 
 @dataclass(frozen=True)
@@ -423,25 +535,38 @@ def _search_independence(
     anchor slots inside [0, horizon); complete, so None means none exists.
 
     Slots stride by the word length, so candidate prescriptions never
-    overlap each other.
+    overlap each other.  Each branch carries the sweep state at the end of
+    its last chosen slot, so testing slot j sweeps only the gap up to j and
+    the word at j: per candidate, linear in the stride times the antichain
+    size.
     """
+    if len(u) != len(v):
+        raise ValueError("the two words must have equal length")
+    _check_words(spec, u, v)
     stride = len(u)
-
-    def extend(start: int, chosen: list[int]) -> tuple[int, ...] | None:
-        if len(chosen) >= target:
-            return tuple(chosen)
-        for j in range(start, horizon):
-            if len(chosen) + (horizon - j) < target:
-                break
-            budget.spend()
-            raw = [p * stride for p in chosen + [j]]
-            if is_independent(spec, u, v, raw):
-                found = extend(j + 1, chosen + [j])
-                if found is not None:
-                    return found
-        return None
-
-    return extend(0, [])
+    step = _stepper(spec)
+    chosen: list[int] = []
+    # one frame per depth: [next candidate slot, sweep index, sweep state]
+    frames = [[0, 0, {"": [step.full]}]]
+    while len(chosen) < target:
+        frame = frames[-1]
+        j, at, state = frame
+        if len(chosen) + (horizon - j) < target:  # also ends the slot range
+            frames.pop()
+            if not chosen:
+                return None
+            chosen.pop()
+            continue
+        budget.spend()
+        # the gap holds no prescriptions, so it never empties a frontier
+        state = _sweep(step, state, at, j * stride)
+        at = j * stride
+        frame[:] = [j + 1, at, state]
+        after = _sweep(step, state, at, at + stride, (at,), (u, v))
+        if after is not None:
+            chosen.append(j)
+            frames.append([j + 1, at + stride, after])
+    return tuple(chosen)
 
 
 def independence_status(

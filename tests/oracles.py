@@ -91,8 +91,10 @@ def brute_admissible(alphabet, forbidden, n: int) -> list[str]:
     ]
 
 
+@lru_cache(maxsize=256)
 def brute_extendable(alphabet, forbidden, n: int) -> list[str]:
-    """Length-n words occurring in infinite admissible sequences.
+    """Length-n words occurring in infinite admissible sequences (cached:
+    callers must not mutate the list).
 
     A word extends to infinity iff it extends by enough symbols to force a
     repeated window (pigeonhole on the set of admissible windows).

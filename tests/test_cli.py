@@ -241,6 +241,41 @@ class TestSubshiftCommands:
             "budget": 16, "density": "1/2", "horizon": 8, "n_max": 2,
         }
 
+    def test_node_budget_leaves_unknown_pairs_in_upper_only(self, capsys, files):
+        code, out = run(
+            capsys, ["subshift", "ie", files["golden"], "--node-budget", "1"]
+        )
+        report = json.loads(out)
+        assert code == 2
+        assert report["node_budget"] == 1
+        assert report["unknown"]
+        for pair in report["unknown"]:
+            assert pair in report["upper"]
+            assert pair not in report["lower"]
+        code, out = run(
+            capsys, ["subshift", "cpe-report", files["golden"], "--node-budget", "1"]
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "indeterminate"
+        assert report["params"]["node_budget"] == 1
+        code, out = run(
+            capsys, ["subshift", "ie", files["golden"], "--node-budget", "-1"]
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["path"] == "--node-budget"
+
+    def test_ample_node_budget_matches_unlimited(self, capsys, files):
+        argv = ["subshift", "ie", files["golden"]]
+        _, unlimited = run(capsys, argv)
+        code, out = run(capsys, argv + ["--node-budget", "1000"])
+        assert code == 0
+        assert "node_budget" not in json.loads(unlimited)
+        report = json.loads(out)
+        assert report.pop("node_budget") == 1000
+        assert report.pop("unknown") == []
+        assert report == json.loads(unlimited)
+
 
 class TestCertCommands:
     def test_verify_good(self, capsys, files):
@@ -331,3 +366,20 @@ class TestEmission:
         code, out = run(capsys, ["ordinal", "eval", "w^"])
         assert code == 3
         assert "position" in json.loads(out)["error"]["message"]
+
+    def test_unwritable_trace_is_input_error(self, capsys, files, tmp_path):
+        trace = tmp_path / "missing" / "x.csv"
+        for argv in (
+            ["rank", files["space_w"], "--trace", str(trace)],
+            ["rank", files["space_w"], "--budget", "4", "--trace", str(trace)],
+            ["gamma", files["relation"], "--trace", str(trace)],
+        ):
+            code, out = run(capsys, argv)
+            assert code == 3
+            error = json.loads(out)["error"]
+            assert (error["kind"], error["path"]) == ("input", "--trace")
+
+    def test_deep_exponent_tower_is_input_error(self, capsys):
+        code, out = run(capsys, ["ordinal", "eval", "^".join(["w"] * 3000)])
+        assert code == 3
+        assert "exponent tower" in json.loads(out)["error"]["message"]

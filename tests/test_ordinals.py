@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ordrank.ordinals import (
+    MAX_TOWER_HEIGHT,
     OMEGA,
     ONE,
     ZERO,
@@ -80,6 +81,12 @@ class TestParse:
         with pytest.raises(OrdinalSyntaxError) as err:
             parse_ordinal(text)
         assert err.value.position >= 0
+
+    def test_tower_height_limit(self):
+        tower = "^".join(["w"] * (MAX_TOWER_HEIGHT + 1))
+        assert format_ordinal(parse_ordinal(tower)) == tower
+        with pytest.raises(OrdinalSyntaxError, match="exponent tower"):
+            parse_ordinal(tower + "^w")
 
 
 class TestFormat:

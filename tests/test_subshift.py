@@ -1,8 +1,13 @@
 import json
 import math
+import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ordrank import subshift as sub
@@ -197,6 +202,11 @@ class TestFindIndependenceSet:
         assert cert.positions == tuple(range(8))
         assert cert.density == Fraction(1)
 
+    def test_horizon_beyond_the_recursion_limit(self, full_shift):
+        horizon = sys.getrecursionlimit() + 200
+        cert = sub.find_independence_set(full_shift, "0", "1", horizon, 1)
+        assert cert.positions == tuple(range(horizon))
+
     def test_golden_even_positions(self, golden_mean):
         cert = sub.find_independence_set(golden_mean, "0", "1", 8, "0.5")
         assert cert is not None
@@ -303,3 +313,93 @@ class TestEntropyRankReport:
         report = sub.entropy_rank_report(golden_mean, 2, 8, "0.5", 16)
         assert (report.n_max, report.horizon, report.budget) == (2, 8, 16)
         assert report.density == Fraction(1, 2)
+
+
+# -- cross-check against the brute-force oracles on random SFTs ----------------
+
+
+def random_sft(rng: random.Random) -> sub.SubshiftSpec:
+    """A non-empty SFT on 2 or 3 letters with 1-3 forbidden words of length 1-3."""
+    alphabet = rng.choice(["01", "012"])
+    while True:
+        forbidden = tuple(sorted({
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        }))
+        if oracles.brute_extendable(alphabet, forbidden, 1):
+            return sub.SubshiftSpec(tuple(alphabet), forbidden)
+
+
+def random_word_pair(rng: random.Random, spec, length: int) -> tuple[str, str]:
+    """Two words of one length, each usually occurring in the space."""
+    occurring = oracles.brute_extendable(spec.alphabet, spec.forbidden, length)
+
+    def word():
+        if occurring and rng.random() < 0.75:
+            return rng.choice(occurring)
+        return "".join(rng.choice(spec.alphabet) for _ in range(length))
+
+    return word(), word()
+
+
+def reference_search(spec, u, v, horizon, target):
+    """The slot search in the library's branch order, deciding independence
+    by brute force; returns (slots found or None, candidates tested)."""
+    stride = len(u)
+    texts = oracles.brute_extendable(spec.alphabet, spec.forbidden, horizon * stride)
+    nodes = 0
+
+    def independent(slots):
+        need = set(product((u, v), repeat=len(slots)))
+        seen = {tuple(t[j * stride:(j + 1) * stride] for j in slots) for t in texts}
+        return need <= seen
+
+    def extend(start, chosen):
+        nonlocal nodes
+        if len(chosen) >= target:
+            return tuple(chosen)
+        for j in range(start, horizon):
+            if len(chosen) + (horizon - j) < target:
+                break
+            nodes += 1
+            if independent(chosen + [j]):
+                found = extend(j + 1, chosen + [j])
+                if found is not None:
+                    return found
+        return None
+
+    return extend(0, []), nodes
+
+
+class TestOracleCrossCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_is_independent_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        spec = random_sft(rng)
+        u, v = random_word_pair(rng, spec, rng.randint(1, 2))
+        # unsorted, repeated and (for two-letter words) overlapping positions
+        positions = [rng.randrange(6) for _ in range(rng.randint(1, 4))]
+        expected = oracles.brute_independent(
+            spec.alphabet, spec.forbidden, u, v, positions
+        )
+        assert sub.is_independent(spec, u, v, positions) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_independence_status_matches_slot_search(self, seed):
+        rng = random.Random(seed)
+        spec = random_sft(rng)
+        u, v = random_word_pair(rng, spec, rng.randint(1, 2))
+        horizon = rng.randint(1, 6 // len(u))
+        density = rng.choice(["1/3", "1/2", "2/3", "1"])
+        target = max(1, math.ceil(Fraction(density) * horizon))
+        found, nodes = reference_search(spec, u, v, horizon, target)
+        status, cert = sub.independence_status(spec, u, v, horizon, density)
+        assert status == ("refuted" if found is None else "certified")
+        assert (cert and cert.positions) == found
+        for node_budget in (1, 2, 3):
+            limited, _ = sub.independence_status(
+                spec, u, v, horizon, density, node_budget=node_budget
+            )
+            assert limited == ("unknown" if nodes > node_budget else status)
