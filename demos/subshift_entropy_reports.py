@@ -15,7 +15,7 @@ from ordrank import (
     entropy_estimate,
     entropy_rank_report,
     entropy_spectral,
-    find_independence_set,
+    independence_status,
     is_independent,
 )
 
@@ -39,9 +39,9 @@ golden = STOCK["golden mean"]
 print(f"  golden mean at {{0,1}}: {is_independent(golden, '0', '1', [0, 1])}"
       " (adjacent positions collide with the forbidden word)")
 print(f"  golden mean at {{0,2}}: {is_independent(golden, '0', '1', [0, 2])}")
-cert = find_independence_set(golden, "0", "1", horizon=8, density="0.5")
+_, cert = independence_status(golden, "0", "1", horizon=8, density="0.5")
 print(f"  certificate at horizon 8, density 1/2: positions {list(cert.positions)}")
-bad = find_independence_set(STOCK["forbid 01"], "0", "1", horizon=8, density="0.5")
+_, bad = independence_status(STOCK["forbid 01"], "0", "1", horizon=8, density="0.5")
 print(f"  forbid-01 certificate search: {bad}")
 print()
 

@@ -31,6 +31,7 @@ from .ordinals import (
 from .engine import (
     DERIVATIVE,
     EXPANSION,
+    ClosedForm,
     ContractViolationError,
     IndeterminateTraceError,
     IterationTrace,
@@ -87,8 +88,8 @@ from .subshift import (
     entropy_rank_report,
     entropy_spectral,
     enumerate_words,
-    find_independence_set,
     ie_relation,
+    independence_status,
     is_independent,
     parse_subshift,
     realizable,

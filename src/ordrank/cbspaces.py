@@ -5,7 +5,8 @@ limit-point sets of [0, gamma]: stage beta holds the points whose least
 exponent is at least beta.  `IntervalSet` represents initial segments
 [0, endpoint] and carries a synthetic inflating operator whose endpoint
 jumps to the next omega power, giving the engine instances with genuinely
-transfinite ranks.
+transfinite ranks.  Both operators carry an `engine.ClosedForm` whose
+functions read the ambient gamma from the sets themselves.
 """
 
 from __future__ import annotations
@@ -157,9 +158,37 @@ def cb_rank(gamma: Ordinal) -> Ordinal:
     return succ(leading_exponent(gamma))
 
 
+def _cb_stage(start: DivisibilitySet, stage: Ordinal) -> DivisibilitySet:
+    if stage.is_zero:
+        return start
+    return stage_set(start.gamma, add(start.beta, stage))
+
+
+def _cb_closed_rank(start: DivisibilitySet) -> Ordinal:
+    if start.is_empty:
+        return ZERO
+    return left_difference(start.beta, cb_rank(start.gamma))
+
+
+def _cb_limit(chain: Sequence[DivisibilitySet]) -> DivisibilitySet:
+    """A stage chain advancing by `step` per element reaches its limit
+    after step * w more stages."""
+    if len(chain) < 2 or chain[-1].full or chain[-2].full:
+        raise engine.UnsupportedDomainError("chain is not a stage chain")
+    step = left_difference(chain[-2].beta, chain[-1].beta)
+    if step.is_zero:
+        raise engine.UnsupportedDomainError("chain is not strictly advancing")
+    return _cb_stage(chain[-1], mul_omega(step))
+
+
 def cb_operator() -> engine.MonotoneOperator:
     return engine.MonotoneOperator(
-        name="cantor-bendixson", kind=engine.DERIVATIVE, apply=cb_derivative
+        name="cantor-bendixson",
+        kind=engine.DERIVATIVE,
+        apply=cb_derivative,
+        closed_form=engine.ClosedForm(
+            rank=_cb_closed_rank, stage=_cb_stage, limit=_cb_limit
+        ),
     )
 
 
@@ -244,40 +273,6 @@ class OrdinalSpaceDomain(engine.SetDomain):
             return a.gamma.terms[0][1]
         return "inf"
 
-    def supports_closed_form(self, op) -> bool:
-        return op.name == "cantor-bendixson"
-
-    def transfinite_stage(self, op, start: DivisibilitySet, stage: Ordinal):
-        if op.name != "cantor-bendixson":
-            raise engine.UnsupportedDomainError(f"no closed form for {op.name}")
-        self._check(start)
-        if stage.is_zero:
-            return start
-        return stage_set(self.gamma, add(start.beta, stage))
-
-    def closed_form_rank(self, op, start: DivisibilitySet) -> Ordinal:
-        if op.name != "cantor-bendixson":
-            raise engine.UnsupportedDomainError(f"no closed form for {op.name}")
-        self._check(start)
-        if start.is_empty:
-            return ZERO
-        bound = succ(leading_exponent(self.gamma)) if not self.gamma.is_zero else ONE
-        return left_difference(start.beta, bound)
-
-    def limit_of_chain(self, op, chain):
-        if op.name != "cantor-bendixson" or len(chain) < 2:
-            raise engine.UnsupportedDomainError("no symbolic limit for this chain")
-        last = chain[-1]
-        prev = chain[-2]
-        if self.equal(last, prev):
-            return last
-        if last.full or prev.full:
-            raise engine.UnsupportedDomainError("chain is not a stage chain")
-        step = left_difference(prev.beta, last.beta)
-        if step.is_zero:
-            raise engine.UnsupportedDomainError("chain is not strictly advancing")
-        return stage_set(self.gamma, add(last.beta, mul_omega(step)))
-
 
 # -- intervals and the synthetic expansion --------------------------------
 
@@ -319,9 +314,41 @@ def succ_expansion(s: IntervalSet) -> IntervalSet:
     return IntervalSet(gamma=s.gamma, endpoint=ord_min(s.gamma, mul_omega(s.endpoint)))
 
 
+def _succ_stage(start: IntervalSet, stage: Ordinal) -> IntervalSet:
+    if stage.is_zero or start.is_empty or start.endpoint.is_zero:
+        return start
+    grown = omega_power(add(leading_exponent(start.endpoint), stage))
+    return interval(start.gamma, ord_min(start.gamma, grown))
+
+
+def _succ_closed_rank(start: IntervalSet) -> Ordinal:
+    if start.is_empty or start.endpoint.is_zero or start.endpoint == start.gamma:
+        return ZERO
+    return left_difference(
+        leading_exponent(start.endpoint), omega_log_ceiling(start.gamma)
+    )
+
+
+def _succ_limit(chain: Sequence[IntervalSet]) -> IntervalSet:
+    """An endpoint chain with last endpoint e reaches w^(lead(e) + w)."""
+    if (
+        len(chain) < 2
+        or chain[-2].is_empty
+        or chain[-1].is_empty
+        or chain[-1].endpoint.is_zero
+    ):
+        raise engine.UnsupportedDomainError("chain is not an endpoint chain")
+    return _succ_stage(chain[-1], OMEGA)
+
+
 def succ_expansion_operator() -> engine.MonotoneOperator:
     return engine.MonotoneOperator(
-        name="succ-expansion", kind=engine.EXPANSION, apply=succ_expansion
+        name="succ-expansion",
+        kind=engine.EXPANSION,
+        apply=succ_expansion,
+        closed_form=engine.ClosedForm(
+            rank=_succ_closed_rank, stage=_succ_stage, limit=_succ_limit
+        ),
     )
 
 
@@ -393,39 +420,3 @@ class IntervalSpaceDomain(engine.SetDomain):
         if a.endpoint.is_finite:
             return a.endpoint.to_int() + 1
         return "inf"
-
-    def supports_closed_form(self, op) -> bool:
-        return op.name == "succ-expansion"
-
-    def transfinite_stage(self, op, start: IntervalSet, stage: Ordinal):
-        if op.name != "succ-expansion":
-            raise engine.UnsupportedDomainError(f"no closed form for {op.name}")
-        self._check(start)
-        if stage.is_zero or start.is_empty or start.endpoint.is_zero:
-            return start
-        grown = omega_power(add(leading_exponent(start.endpoint), stage))
-        return interval(self.gamma, ord_min(self.gamma, grown))
-
-    def closed_form_rank(self, op, start: IntervalSet) -> Ordinal:
-        if op.name != "succ-expansion":
-            raise engine.UnsupportedDomainError(f"no closed form for {op.name}")
-        self._check(start)
-        if start.is_empty or start.endpoint.is_zero:
-            return ZERO
-        if start.endpoint == self.gamma:
-            return ZERO
-        return left_difference(
-            leading_exponent(start.endpoint), omega_log_ceiling(self.gamma)
-        )
-
-    def limit_of_chain(self, op, chain):
-        if op.name != "succ-expansion" or len(chain) < 2:
-            raise engine.UnsupportedDomainError("no symbolic limit for this chain")
-        last, prev = chain[-1], chain[-2]
-        if self.equal(last, prev):
-            return last
-        if last.is_empty or prev.is_empty or last.endpoint.is_zero:
-            raise engine.UnsupportedDomainError("chain is not an endpoint chain")
-        lead = leading_exponent(last.endpoint)
-        grown = omega_power(add(lead, OMEGA))
-        return interval(self.gamma, ord_min(self.gamma, grown))

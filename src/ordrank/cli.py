@@ -22,7 +22,6 @@ from .ordinals import (
     cmp,
     format_ordinal,
     parse_ordinal,
-    succ,
 )
 
 EXIT_OK = 0
@@ -219,7 +218,7 @@ def _print(report: dict, args) -> None:
     sys.stdout.write(emit_report(report, getattr(args, "format", "json")))
 
 
-def _error_report(code: int, kind: str, message: str, path: str | None = None) -> dict:
+def _error_report(kind: str, message: str, path: str | None = None) -> dict:
     report = {"error": {"kind": kind, "message": message}}
     if path is not None:
         report["error"]["path"] = path
@@ -256,37 +255,10 @@ def _open_trace(path: str):
         raise InputError("--trace", f"cannot write {path}: {exc}") from exc
 
 
-def _write_step_trace(args, trace) -> None:
+def _write_trace(args, trace) -> None:
     if getattr(args, "trace", None):
         with _open_trace(args.trace) as fh:
             engine.write_trace_csv(trace, fh)
-
-
-def _write_closed_form_trace(args, domain, op, start, rank: Ordinal) -> None:
-    if not getattr(args, "trace", None):
-        return
-    import csv as _csv
-
-    samples: list[Ordinal] = []
-    for candidate in [parse_ordinal("0"), parse_ordinal("1")]:
-        if cmp(candidate, rank) < 0:
-            samples.append(candidate)
-    if rank.is_successor:
-        from .ordinals import predecessor
-
-        prev = predecessor(rank)
-        if prev not in samples:
-            samples.append(prev)
-    samples.extend([rank, succ(rank)])
-    with _open_trace(args.trace) as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["stage_index", "size_metric", "is_fixpoint"])
-        for alpha in samples:
-            value = domain.transfinite_stage(op, start, alpha)
-            fixed = cmp(alpha, rank) >= 0
-            writer.writerow(
-                [format_ordinal(alpha), domain.size_metric(value), str(fixed).lower()]
-            )
 
 
 def _cmd_rank(args) -> int:
@@ -296,62 +268,48 @@ def _cmd_rank(args) -> int:
         domain = cbspaces.OrdinalSpaceDomain(gamma)
         op = cbspaces.cb_operator()
         start = cbspaces.full_space(gamma)
-        if args.budget is not None and not args.closed_form:
-            trace = engine.iterate_steps(domain, op, start, args.budget)
-            _write_step_trace(args, trace)
-            report = {
-                "command": "rank",
-                "instance": {"type": "ordinal_space", "gamma": format_ordinal(gamma)},
-                "operator": op.name,
-                "mode": "step",
-                "budget": args.budget,
-                "rank": format_ordinal(trace.rank),
-                "rank_is_lower_bound": trace.rank_is_lower_bound,
-                "stable_part_is_bottom": None
-                if not trace.is_exact
-                else engine.derivative_reaches_bottom(trace),
-            }
-            _print(report, args)
-            return EXIT_INDETERMINATE if trace.rank_is_lower_bound else EXIT_OK
-        result = engine.rank_closed_form(domain, op, start, sample_count=args.samples)
-        stable = domain.transfinite_stage(op, start, result.rank)
-        _write_closed_form_trace(args, domain, op, start, result.rank)
-        report = {
-            "command": "rank",
-            "instance": {"type": "ordinal_space", "gamma": format_ordinal(gamma)},
-            "operator": op.name,
-            "mode": "closed-form",
-            "rank": format_ordinal(result.rank),
-            "rank_is_lower_bound": False,
-            "verified": result.verified,
-            "stable_part_is_bottom": domain.equal(stable, domain.bottom),
-        }
-        _print(report, args)
-        return EXIT_OK if result.verified else EXIT_REFUTED
-    if instance.kind == "finite_relation":
+        described = {"type": "ordinal_space", "gamma": format_ordinal(gamma)}
+        closed_form = args.budget is None or args.closed_form
+        budget = args.budget
+    elif instance.kind == "finite_relation":
         if args.closed_form:
             raise InputError("/type", "finite relations have no closed form")
-        sp, rel = instance.value
+        sp, start = instance.value
         domain = relations.RelationDomain(sp)
         op = relations.gamma_operator()
+        described = {"type": "finite_relation", "points": list(sp.cells)}
+        closed_form = False
         budget = args.budget if args.budget is not None else 64
-        trace = engine.iterate_steps(domain, op, rel, budget)
-        _write_step_trace(args, trace)
-        report = {
-            "command": "rank",
-            "instance": {"type": "finite_relation", "points": list(sp.cells)},
-            "operator": op.name,
-            "mode": "step",
-            "budget": budget,
-            "rank": format_ordinal(trace.rank),
-            "rank_is_lower_bound": trace.rank_is_lower_bound,
-            "stable_part_is_top": None
-            if not trace.is_exact
-            else engine.expansion_reaches_top(domain, trace),
-        }
-        _print(report, args)
-        return EXIT_INDETERMINATE if trace.rank_is_lower_bound else EXIT_OK
-    raise InputError("/type", f"rank does not apply to {instance.kind!r}")
+    else:
+        raise InputError("/type", f"rank does not apply to {instance.kind!r}")
+    if closed_form:
+        trace = engine.rank_closed_form(domain, op, start, sample_count=args.samples)
+    else:
+        trace = engine.iterate_steps(domain, op, start, budget)
+    _write_trace(args, trace)
+    report = {
+        "command": "rank",
+        "instance": described,
+        "operator": op.name,
+        "mode": "closed-form" if closed_form else "step",
+        "rank": format_ordinal(trace.rank),
+        "rank_is_lower_bound": trace.rank_is_lower_bound,
+    }
+    if closed_form:
+        report["verified"] = trace.verified
+    else:
+        report["budget"] = budget
+    if op.kind == engine.DERIVATIVE:
+        extreme_key, extreme = "stable_part_is_bottom", domain.bottom
+    else:
+        extreme_key, extreme = "stable_part_is_top", domain.top
+    report[extreme_key] = (
+        domain.equal(trace.stable_part, extreme) if trace.is_exact else None
+    )
+    _print(report, args)
+    if trace.rank_is_lower_bound:
+        return EXIT_INDETERMINATE
+    return EXIT_OK if trace.verified else EXIT_REFUTED
 
 
 def _cmd_gamma(args) -> int:
@@ -362,7 +320,7 @@ def _cmd_gamma(args) -> int:
     domain = relations.RelationDomain(sp)
     op = relations.gamma_operator()
     trace = engine.iterate_steps(domain, op, rel, args.budget)
-    _write_step_trace(args, trace)
+    _write_trace(args, trace)
     stages = [
         {
             "index": format_ordinal(index),
@@ -706,37 +664,10 @@ def run(argv) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except InputError as exc:
-        sys.stdout.write(
-            emit_report(
-                _error_report(EXIT_INPUT, "input", str(exc), exc.path),
-                getattr(args, "format", "json"),
-            )
-        )
-        return EXIT_INPUT
-    except OrdinalSyntaxError as exc:
-        sys.stdout.write(
-            emit_report(
-                _error_report(EXIT_INPUT, "input", str(exc)),
-                getattr(args, "format", "json"),
-            )
-        )
-        return EXIT_INPUT
-    except (subshift.SubshiftInputError,) as exc:
-        sys.stdout.write(
-            emit_report(
-                _error_report(EXIT_INPUT, "input", str(exc), exc.path),
-                getattr(args, "format", "json"),
-            )
-        )
-        return EXIT_INPUT
     except (ValueError, engine.UnsupportedDomainError) as exc:
-        sys.stdout.write(
-            emit_report(
-                _error_report(EXIT_INPUT, "input", str(exc)),
-                getattr(args, "format", "json"),
-            )
-        )
+        # InputError and SubshiftInputError carry the path of the bad field
+        report = _error_report("input", str(exc), getattr(exc, "path", None))
+        sys.stdout.write(emit_report(report, getattr(args, "format", "json")))
         return EXIT_INPUT
 
 

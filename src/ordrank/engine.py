@@ -3,10 +3,12 @@
 A `SetDomain` supplies the lattice structure (equality, inclusion, bottom,
 top, finite joins) for one family of exactly represented closed sets.  A
 `MonotoneOperator` is either contracting (`derivative`) or inflating
-(`expansion`).  The engine iterates in two modes: step mode, which applies
-the operator until a fixpoint or a step budget is hit, and closed-form mode,
-which asks the domain for the stabilization ordinal and spot-checks it.
-Budget exhaustion always yields a sound lower bound, never a guess.
+(`expansion`) and may carry a `ClosedForm` for its transfinite stages.  The
+engine iterates in two modes: step mode, which applies the operator until a
+fixpoint or a step budget is hit, and closed-form mode, which asks the
+operator's closed form for the stabilization ordinal and spot-checks it.
+Both return an `IterationTrace`.  Budget exhaustion always yields a sound
+lower bound, never a guess.
 """
 
 from __future__ import annotations
@@ -48,7 +50,23 @@ class IndeterminateTraceError(RuntimeError):
 
 
 class UnsupportedDomainError(RuntimeError):
-    """The domain lacks a required optional capability."""
+    """The domain or operator lacks a required optional capability."""
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """Symbolic transfinite stages of one operator.
+
+    `rank(start)` is the stabilization ordinal of the iteration from
+    `start`, `stage(start, alpha)` its value at stage alpha, and
+    `limit(chain)` the value at the next limit stage of a canonical chain
+    whose last two elements differ; `limit` raises UnsupportedDomainError
+    for a chain it cannot continue.
+    """
+
+    rank: Callable[[Any], Ordinal]
+    stage: Callable[[Any, Ordinal], Any]
+    limit: Callable[[Sequence], Any]
 
 
 @dataclass(frozen=True)
@@ -58,6 +76,7 @@ class MonotoneOperator:
     name: str
     kind: str  # DERIVATIVE or EXPANSION
     apply: Callable[[Any], Any]
+    closed_form: ClosedForm | None = None
 
     def __post_init__(self):
         if self.kind not in (DERIVATIVE, EXPANSION):
@@ -67,9 +86,9 @@ class MonotoneOperator:
 class SetDomain:
     """Lattice contract implemented by each instance family.
 
-    `equal`, `leq`, `bottom`, `top` and `finite_join` are required.  The
-    remaining methods are optional capabilities; domains with symbolic
-    transfinite structure override them.
+    `equal`, `leq`, `bottom`, `top`, `finite_join` and `size_metric` are
+    required; `finite_meet` is optional.  Symbolic transfinite structure
+    belongs to the operator's `ClosedForm`, not to the domain.
     """
 
     name = "abstract"
@@ -98,21 +117,6 @@ class SetDomain:
         """Cardinality-like metric for trace export."""
         raise NotImplementedError
 
-    # optional capabilities ------------------------------------------------
-
-    def supports_closed_form(self, op: MonotoneOperator) -> bool:
-        return False
-
-    def transfinite_stage(self, op: MonotoneOperator, start, stage: Ordinal):
-        raise UnsupportedDomainError(f"{self.name} has no transfinite stages")
-
-    def closed_form_rank(self, op: MonotoneOperator, start) -> Ordinal:
-        raise UnsupportedDomainError(f"{self.name} has no closed-form rank")
-
-    def limit_of_chain(self, op: MonotoneOperator, chain: Sequence):
-        """Value at the next limit stage of a canonical operator chain."""
-        raise UnsupportedDomainError(f"{self.name} has no symbolic chain limits")
-
 
 @dataclass
 class IterationTrace:
@@ -121,7 +125,9 @@ class IterationTrace:
     `rank` is exact when `rank_is_lower_bound` is false, in which case the
     recorded values at `rank` and `rank + 1` coincide and `stable_part`
     holds that value.  On budget exhaustion `rank` equals the budget and is
-    only a lower bound for the true stabilization ordinal.
+    only a lower bound for the true stabilization ordinal.  A closed-form
+    trace records only the stages it checked, and `verified` says whether
+    they agreed with the closed form; step traces are always verified.
     """
 
     domain: SetDomain
@@ -130,8 +136,7 @@ class IterationTrace:
     rank: Ordinal | None
     rank_is_lower_bound: bool
     stable_part: Any
-    reached_extreme: bool
-    budget_steps: int
+    verified: bool = True
 
     @property
     def is_exact(self) -> bool:
@@ -146,7 +151,7 @@ class IterationTrace:
         raise KeyError(f"stage {index} not recorded")
 
 
-def _apply(domain: SetDomain, op: MonotoneOperator, value, stage: int):
+def _apply(op: MonotoneOperator, value, stage: int):
     try:
         return op.apply(value)
     except Exception as exc:  # propagate with the stage attached
@@ -169,7 +174,7 @@ def iterate_steps(
     rank = None
     stable = None
     for step in range(1, max_steps + 1):
-        nxt = _apply(domain, op, current, step)
+        nxt = _apply(op, current, step)
         if op.kind == DERIVATIVE and not domain.leq(nxt, current):
             raise ContractViolationError(
                 f"{op.name} is not contracting at step {step}"
@@ -184,28 +189,13 @@ def iterate_steps(
             stable = current
             break
         current = nxt
-    if rank is None:
-        extreme = domain.bottom if op.kind == DERIVATIVE else domain.top
-        return IterationTrace(
-            domain=domain,
-            operator=op,
-            stages=tuple(stages),
-            rank=from_int(max_steps),
-            rank_is_lower_bound=True,
-            stable_part=None,
-            reached_extreme=domain.equal(current, extreme),
-            budget_steps=len(stages) - 1,
-        )
-    extreme = domain.bottom if op.kind == DERIVATIVE else domain.top
     return IterationTrace(
         domain=domain,
         operator=op,
         stages=tuple(stages),
-        rank=rank,
-        rank_is_lower_bound=False,
+        rank=from_int(max_steps) if rank is None else rank,
+        rank_is_lower_bound=rank is None,
         stable_part=stable,
-        reached_extreme=domain.equal(stable, extreme),
-        budget_steps=len(stages) - 1,
     )
 
 
@@ -213,8 +203,9 @@ def limit_stage(domain: SetDomain, op: MonotoneOperator, chain: Sequence):
     """Limit-stage value of a monotone chain.
 
     Eventually-constant chains return their eventual value.  Otherwise the
-    domain's symbolic `limit_of_chain` is consulted; without it, the join
-    (expansions) or meet (derivatives) of the given elements is returned.
+    operator's closed-form `limit` is consulted; without one, or when it
+    cannot continue the chain, the join (expansions) or meet (derivatives)
+    of the given elements is returned.
     """
     chain = list(chain)
     if not chain:
@@ -227,21 +218,14 @@ def limit_stage(domain: SetDomain, op: MonotoneOperator, chain: Sequence):
             )
     if len(chain) >= 2 and domain.equal(chain[-1], chain[-2]):
         return chain[-1]
-    try:
-        return domain.limit_of_chain(op, chain)
-    except UnsupportedDomainError:
-        if op.kind == EXPANSION:
-            return domain.finite_join(chain)
-        return domain.finite_meet(chain)
-
-
-@dataclass(frozen=True)
-class ClosedFormRank:
-    rank: Ordinal
-    verified: bool
-
-    def __iter__(self):
-        return iter((self.rank, self.verified))
+    if op.closed_form is not None:
+        try:
+            return op.closed_form.limit(chain)
+        except UnsupportedDomainError:
+            pass
+    if op.kind == EXPANSION:
+        return domain.finite_join(chain)
+    return domain.finite_meet(chain)
 
 
 def _sample_below(rank: Ordinal, count: int, rng: random.Random) -> list[Ordinal]:
@@ -275,35 +259,32 @@ def rank_closed_form(
     start,
     sample_count: int = 5,
     seed: int = 0,
-) -> ClosedFormRank:
+) -> IterationTrace:
     """Closed-form rank with sampled-stage verification.
 
     The closed form is trusted only after checking that the stage at the
     rank is a fixpoint, that stages at 0, 1, rank-1 (if a successor) and
     `sample_count` random earlier ordinals all differ from the stable value,
-    and that each sampled stage advances by one operator application.
+    and that each sampled stage advances by one operator application.  The
+    trace records the stages at 0 and 1 (those below the rank), rank-1, the
+    rank and rank+1.
     """
-    if not domain.supports_closed_form(op):
+    if op.closed_form is None:
         raise UnsupportedDomainError(
             f"{domain.name} has no closed form for {op.name}"
         )
     rng = random.Random(seed)
-    rank = domain.closed_form_rank(op, start)
+    rank = op.closed_form.rank(start)
 
     def stage(alpha: Ordinal):
-        return domain.transfinite_stage(op, start, alpha)
+        return op.closed_form.stage(start, alpha)
 
-    at_rank = stage(rank)
-    verified = domain.equal(at_rank, stage(succ(rank)))
-
-    earlier: list[Ordinal] = []
-    for candidate in [ZERO, ONE]:
-        if cmp(candidate, rank) < 0:
-            earlier.append(candidate)
-    if rank.is_successor:
-        prev = predecessor(rank)
-        if prev not in earlier:
-            earlier.append(prev)
+    earlier: list[Ordinal] = [c for c in (ZERO, ONE) if cmp(c, rank) < 0]
+    if rank.is_successor and predecessor(rank) not in earlier:
+        earlier.append(predecessor(rank))
+    recorded = [(alpha, stage(alpha)) for alpha in earlier + [rank, succ(rank)]]
+    at_rank = recorded[-2][1]
+    verified = domain.equal(at_rank, recorded[-1][1])
     for candidate in _sample_below(rank, sample_count, rng):
         if candidate not in earlier:
             earlier.append(candidate)
@@ -316,7 +297,15 @@ def rank_closed_form(
         advanced = op.apply(stage(alpha))
         if not domain.equal(advanced, stage(succ(alpha))):
             verified = False
-    return ClosedFormRank(rank=rank, verified=verified)
+    return IterationTrace(
+        domain=domain,
+        operator=op,
+        stages=tuple(recorded),
+        rank=rank,
+        rank_is_lower_bound=False,
+        stable_part=at_rank,
+        verified=verified,
+    )
 
 
 def derivative_reaches_bottom(trace: IterationTrace) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator
 
 
 class OrdinalSyntaxError(ValueError):
@@ -126,10 +125,6 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) != len(b.terms):
         return -1 if len(a.terms) < len(b.terms) else 1
     return 0
-
-
-def ord_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return b if cmp(a, b) < 0 else a
 
 
 def ord_min(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -372,7 +367,3 @@ def pretty(a: Ordinal) -> str:
             rendered += f"*{coefficient}"
         parts.append(rendered)
     return "+".join(parts)
-
-
-def iter_terms(a: Ordinal) -> Iterator[tuple[Ordinal, int]]:
-    return iter(a.terms)

@@ -252,8 +252,10 @@ def entropy_spectral(
     """log of the largest transition eigenvalue, by power iteration per
     strongly connected component (shifted by the identity to kill
     periodicity), maximum over components."""
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
+    if math.isinf(tol):
+        raise ValueError("tol must be finite")
     graph = build_graph(spec)
     succ = graph.targets
     best = 0.0
@@ -502,7 +504,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"density {value!r} has a zero denominator") from exc
     if isinstance(value, float):
         return Fraction(str(value))
     raise TypeError(f"cannot read {value!r} as a density")
@@ -579,9 +584,12 @@ def independence_status(
 ) -> tuple[str, IndependenceCertificate | None]:
     """One of ("certified", cert), ("refuted", None), ("unknown", None).
 
-    Refutation is sound: the search is exhaustive, so failure means no set
-    of the required size exists within the horizon.  "unknown" only occurs
-    when a node budget interrupts the search.
+    Deterministic search for a density certificate.  Candidate positions
+    are the `horizon` anchor slots striding by the word length (for single
+    symbols, just the positions 0..horizon-1).  Refutation is sound: the
+    search is exhaustive, so failure means no set of the required size
+    exists within the horizon.  "unknown" only occurs when a node budget
+    interrupts the search.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -600,23 +608,6 @@ def independence_status(
         spec=spec, u=u, v=v, horizon=horizon, positions=found, stride=len(u)
     )
     return ("certified", cert)
-
-
-def find_independence_set(
-    spec: SubshiftSpec,
-    u: str,
-    v: str,
-    horizon: int,
-    density,
-    node_budget: int | None = None,
-) -> IndependenceCertificate | None:
-    """Deterministic search for a density certificate; absence is a value.
-
-    Candidate positions are the `horizon` anchor slots striding by the
-    word length (for single symbols, just the positions 0..horizon-1).
-    """
-    status, cert = independence_status(spec, u, v, horizon, density, node_budget)
-    return cert
 
 
 # -- independence-evidence relations and the entropy-rank report -----------

@@ -114,7 +114,7 @@ class TestTransfiniteConsistency:
         domain = cb.OrdinalSpaceDomain(gamma)
         op = cb.cb_operator()
         start = cb.full_space(gamma)
-        at_limit = domain.transfinite_stage(op, start, OMEGA)
+        at_limit = op.closed_form.stage(start, OMEGA)
         deltas = [
             omega_power(OMEGA),
             omega_power(from_int(6)),
@@ -124,7 +124,7 @@ class TestTransfiniteConsistency:
         ]
         for delta in deltas:
             in_all_finite = all(
-                cb.member(delta, domain.transfinite_stage(op, start, from_int(n)))
+                cb.member(delta, op.closed_form.stage(start, from_int(n)))
                 for n in range(1, 12)
             )
             assert cb.member(delta, at_limit) == in_all_finite, delta
@@ -134,9 +134,9 @@ class TestTransfiniteConsistency:
         domain = cb.OrdinalSpaceDomain(gamma)
         op = cb.cb_operator()
         start = cb.full_space(gamma)
-        sampled = [domain.transfinite_stage(op, start, from_int(n)) for n in (1, 3, 7)]
+        sampled = [op.closed_form.stage(start, from_int(n)) for n in (1, 3, 7)]
         meet = domain.finite_meet(sampled)
-        assert domain.equal(meet, domain.transfinite_stage(op, start, from_int(7)))
+        assert domain.equal(meet, op.closed_form.stage(start, from_int(7)))
 
 
 class TestSuccExpansion:
@@ -218,5 +218,5 @@ class TestDomainLattice:
         domain = cb.OrdinalSpaceDomain(gamma)
         op = cb.cb_operator()
         start = cb.stage_set(gamma, from_int(2))
-        assert domain.closed_form_rank(op, start) == from_int(4)
-        assert domain.transfinite_stage(op, start, from_int(3)).beta == from_int(5)
+        assert op.closed_form.rank(start) == from_int(4)
+        assert op.closed_form.stage(start, from_int(3)).beta == from_int(5)

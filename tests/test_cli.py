@@ -379,6 +379,22 @@ class TestEmission:
             error = json.loads(out)["error"]
             assert (error["kind"], error["path"]) == ("input", "--trace")
 
+    def test_zero_denominator_density_is_input_error(self, capsys, files):
+        for command in ("ie", "cpe-report"):
+            argv = ["subshift", command, files["golden"], "--density", "1/0"]
+            code, out = run(capsys, argv)
+            assert code == 3
+            error = json.loads(out)["error"]
+            assert error["kind"] == "input"
+            assert "zero denominator" in error["message"]
+
+    def test_non_finite_tolerance_is_input_error(self, capsys, files):
+        for tol in ("inf", "nan", "-inf", "0"):
+            argv = ["subshift", "entropy", files["golden"], f"--tol={tol}"]
+            code, out = run(capsys, argv)
+            assert code == 3
+            assert json.loads(out)["error"]["message"].startswith("tol must be")
+
     def test_deep_exponent_tower_is_input_error(self, capsys):
         code, out = run(capsys, ["ordinal", "eval", "^".join(["w"] * 3000)])
         assert code == 3

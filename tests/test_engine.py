@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 
@@ -10,9 +11,11 @@ from ordrank.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    format_ordinal,
     from_int,
     omega_power,
     parse_ordinal,
+    succ,
 )
 
 
@@ -126,6 +129,13 @@ class TestLimitStage:
         assert cb.member(omega_power(OMEGA), out)
         assert not cb.member(omega_power(from_int(5)), out)
 
+    def test_falls_back_to_meet_when_the_closed_form_cannot_continue(self):
+        gamma = parse_ordinal("w^2")
+        domain = cb.OrdinalSpaceDomain(gamma)
+        chain = [cb.full_space(gamma), cb.stage_set(gamma, ONE)]
+        out = engine.limit_stage(domain, cb.cb_operator(), chain)
+        assert domain.equal(out, cb.stage_set(gamma, ONE))
+
     def test_non_monotone_chain_rejected(self):
         gamma, domain = interval_domain("w^2")
         chain = [cb.interval(gamma, OMEGA), cb.interval(gamma, ONE)]
@@ -176,6 +186,33 @@ class TestClosedForm:
                 assert stepped.is_exact
                 assert closed.rank == stepped.rank
                 assert closed.verified
+
+
+    def test_trace_records_the_checked_stages(self):
+        gamma = parse_ordinal("w^w")
+        domain = cb.OrdinalSpaceDomain(gamma)
+        trace = engine.rank_closed_form(domain, cb.cb_operator(), cb.full_space(gamma))
+        assert trace.rank == parse_ordinal("w+1")
+        assert [format_ordinal(i) for i, _ in trace.stages] == [
+            "0", "1", "w", "w+1", "w+2",
+        ]
+        assert trace.is_exact and trace.verified
+        assert trace.stable_part is trace.value_at(trace.rank)
+        assert engine.derivative_reaches_bottom(trace)
+
+    def test_wrong_closed_form_is_not_verified(self):
+        gamma = parse_ordinal("w^3")
+        domain = cb.OrdinalSpaceDomain(gamma)
+        right = cb.cb_operator()
+        late = engine.ClosedForm(
+            rank=lambda start: succ(right.closed_form.rank(start)),
+            stage=right.closed_form.stage,
+            limit=right.closed_form.limit,
+        )
+        op = dataclasses.replace(right, closed_form=late)
+        trace = engine.rank_closed_form(domain, op, cb.full_space(gamma))
+        assert trace.rank == from_int(5)
+        assert not trace.verified
 
 
 class TestReachesExtreme:

@@ -137,6 +137,7 @@ class TestEntropy:
             assert abs(estimate - spectral) < 0.05
 
 
+
 class TestRealizable:
     def test_examples(self, golden_mean, forbid_01):
         assert sub.realizable(golden_mean, [(0, "1"), (2, "1")])
@@ -197,29 +198,30 @@ class TestIndependence:
 
 class TestFindIndependenceSet:
     def test_full_shift_density_one(self, full_shift):
-        cert = sub.find_independence_set(full_shift, "0", "1", 8, 1)
-        assert cert is not None
+        status, cert = sub.independence_status(full_shift, "0", "1", 8, 1)
+        assert status == "certified"
         assert cert.positions == tuple(range(8))
         assert cert.density == Fraction(1)
 
     def test_horizon_beyond_the_recursion_limit(self, full_shift):
         horizon = sys.getrecursionlimit() + 200
-        cert = sub.find_independence_set(full_shift, "0", "1", horizon, 1)
+        _, cert = sub.independence_status(full_shift, "0", "1", horizon, 1)
         assert cert.positions == tuple(range(horizon))
 
     def test_golden_even_positions(self, golden_mean):
-        cert = sub.find_independence_set(golden_mean, "0", "1", 8, "0.5")
-        assert cert is not None
+        status, cert = sub.independence_status(golden_mean, "0", "1", 8, "0.5")
+        assert status == "certified"
         assert cert.positions == (0, 2, 4, 6)
         assert cert.density == Fraction(1, 2)
 
     def test_forbid_01_none_beyond_singletons(self, forbid_01):
         # any target of two or more positions is exhaustively refuted
-        assert sub.find_independence_set(forbid_01, "0", "1", 8, "0.5") is None
-        assert sub.find_independence_set(forbid_01, "0", "1", 8, "0.25") is None
+        for density in ("0.5", "0.25"):
+            status, cert = sub.independence_status(forbid_01, "0", "1", 8, density)
+            assert (status, cert) == ("refuted", None)
 
     def test_certificate_reverifies(self, golden_mean):
-        cert = sub.find_independence_set(golden_mean, "0", "1", 8, "0.5")
+        _, cert = sub.independence_status(golden_mean, "0", "1", 8, "0.5")
         for choice in range(2 ** len(cert.positions)):
             constraints = [
                 (j, cert.u if choice >> i & 1 else cert.v)
