@@ -80,12 +80,13 @@ def _load_finite_relation(data: dict, path: str):
     pairs = data["pairs"]
     if not isinstance(pairs, list):
         raise InputError(f"{path}/pairs", "expected a list")
+    known = set(points)
     clean = []
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"{path}/pairs/{i}", "expected a two-element list")
         u, v = pair
-        if u not in points or v not in points:
+        if not all(isinstance(p, str) and p in known for p in pair):
             raise InputError(f"{path}/pairs/{i}", "pair mentions an unknown point")
         clean.append((u, v))
     sp = relations.space(points)
@@ -170,10 +171,9 @@ def load_instance(path: str) -> Instance:
         raise InputError("/type", "missing instance type")
     kind = data["type"]
     if kind == "sft":
+        # a SubshiftInputError carries its path, and run() reports it as is
         try:
             value = subshift.spec_from_dict(data)
-        except subshift.SubshiftInputError as exc:
-            raise InputError(exc.path, str(exc)) from exc
         except subshift.EmptySubshiftError as exc:
             raise InputError("/forbidden", str(exc)) from exc
         return Instance(kind="sft", value=value)
@@ -262,6 +262,8 @@ def _write_trace(args, trace) -> None:
 
 
 def _cmd_rank(args) -> int:
+    if args.samples < 0:
+        raise InputError("--samples", "must be >= 0")
     instance = load_instance(args.instance)
     if instance.kind == "ordinal_space":
         gamma = instance.value

@@ -13,7 +13,7 @@ direction (a level stabilizing below all-pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import engine
 from .ordinals import Ordinal
@@ -29,28 +29,31 @@ class FinitePointSpace:
 
     cells: tuple[str, ...]
     parent: tuple[tuple[str, str], ...] | None = None
+    # lookup tables derived from the two fields above
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _parents: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.cells)) != len(self.cells):
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.cells)})
+        if len(self._index) != len(self.cells):
             raise ValueError("cell identifiers must be unique")
-        if self.parent is not None:
-            mapped = {cell for cell, _ in self.parent}
-            if mapped != set(self.cells):
-                raise ValueError("parent map must be total on the cells")
+        object.__setattr__(self, "_parents", dict(self.parent or ()))
+        if self.parent is not None and self._parents.keys() != self._index.keys():
+            raise ValueError("parent map must be total on the cells")
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def index(self, cell: str) -> int:
-        return self.cells.index(cell)
+        try:
+            return self._index[cell]
+        except KeyError:
+            raise ValueError(f"{cell!r} is not a cell of the space") from None
 
     def parent_of(self, cell: str) -> str:
         if self.parent is None:
             raise ValueError("space has no parent map")
-        for child, parent in self.parent:
-            if child == cell:
-                return parent
-        raise KeyError(cell)
+        return self._parents[cell]
 
 
 def space(cells: Iterable[str], parent: dict[str, str] | None = None) -> FinitePointSpace:
@@ -88,16 +91,22 @@ class CellRelation:
         return bool(self.rows[self.space.index(u)] >> self.space.index(v) & 1)
 
     def pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for i, row in enumerate(self.rows):
-            for j in range(len(self.space)):
-                if row >> j & 1:
-                    out.append((self.space.cells[i], self.space.cells[j]))
-        return out
+        cells = self.space.cells
+        return [
+            (cells[i], cells[j]) for i, row in enumerate(self.rows) for j in _bits(row)
+        ]
 
     @property
     def pair_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
+
+
+def _bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of `row`, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 def empty_relation(sp: FinitePointSpace) -> CellRelation:
@@ -116,27 +125,21 @@ def strip_diagonal(r: CellRelation) -> CellRelation:
 
 def sym_refl(r: CellRelation) -> CellRelation:
     """R together with its transpose and the identity."""
-    n = len(r.space)
     rows = list(r.rows)
-    for i in range(n):
+    for i, row in enumerate(r.rows):
         rows[i] |= 1 << i
-        row = r.rows[i]
-        for j in range(n):
-            if row >> j & 1:
-                rows[j] |= 1 << i
+        for j in _bits(row):
+            rows[j] |= 1 << i
     return CellRelation(space=r.space, rows=tuple(rows))
 
 
 def compose(a: CellRelation, b: CellRelation) -> CellRelation:
     """Pairs (i, k) with some j linking i to j in `a` and j to k in `b`."""
-    n = len(a.space)
     rows = []
-    for i in range(n):
+    for row in a.rows:
         acc = 0
-        row = a.rows[i]
-        for j in range(n):
-            if row >> j & 1:
-                acc |= b.rows[j]
+        for j in _bits(row):
+            acc |= b.rows[j]
         rows.append(acc)
     return CellRelation(space=a.space, rows=tuple(rows))
 
@@ -152,8 +155,11 @@ def chain_n(r: CellRelation, n: int) -> CellRelation:
 
 
 class _UnionFind:
+    """Disjoint sets of cells; members[root] is the bitmask of root's set."""
+
     def __init__(self, n: int):
         self.root = list(range(n))
+        self.members = [1 << i for i in range(n)]
 
     def find(self, i: int) -> int:
         while self.root[i] != i:
@@ -162,23 +168,24 @@ class _UnionFind:
         return i
 
     def union(self, i: int, j: int):
-        self.root[self.find(i)] = self.find(j)
+        a, b = self.find(i), self.find(j)
+        if a != b:
+            self.root[a] = b
+            self.members[b] |= self.members[a]
 
 
 def equiv_closure(r: CellRelation) -> CellRelation:
-    """Least equivalence relation containing R, by union-find over cells."""
+    """Least equivalence relation containing R, by union-find over cells.
+
+    Only the cells of a row outside its cell's current class need a union,
+    so closing an equivalence relation costs one pass over the cells.
+    """
     n = len(r.space)
     uf = _UnionFind(n)
-    for i in range(n):
-        row = r.rows[i]
-        for j in range(n):
-            if row >> j & 1:
-                uf.union(i, j)
-    classes: dict[int, int] = {}
-    for i in range(n):
-        classes.setdefault(uf.find(i), 0)
-        classes[uf.find(i)] |= 1 << i
-    rows = tuple(classes[uf.find(i)] for i in range(n))
+    for i, row in enumerate(r.rows):
+        for j in _bits(row & ~uf.members[uf.find(i)]):
+            uf.union(i, j)
+    rows = tuple(uf.members[uf.find(i)] for i in range(n))
     return CellRelation(space=r.space, rows=rows)
 
 

@@ -1,16 +1,20 @@
 """Subshifts of finite type at desk scale: words, entropy, independence.
 
-One-sided shift spaces over a finite alphabet, presented by forbidden
-words and pruned to right-extendable windows, so word counts are counts of
-words that actually occur in points of the space.  Entropy comes in two
-independent flavours (word-count estimates and the spectral radius of the
-transition graph).  Realizability and independence of word pairs are
-decided exactly by one left-to-right frontier sweep over the window graph,
-which for independence keeps only the subset-minimal frontiers of its u/v
-branches; the slot search carries that sweep from slot to slot, so each
-candidate slot costs time linear in the gap times the antichain size.
-Density-certified independence feeds the equivalence-closure towers that
-power the entropy-rank reports.
+One-sided shift spaces over a finite alphabet, given by forbidden words and
+presented by the trimmed Aho-Corasick automaton of those words (Aho &
+Corasick, CACM 1975): a deterministic automaton with at most 1 + sum(len(w))
+states in which a word occurs in some point of the space iff it labels a
+path from the root.  So word counts are path counts, and count words that
+actually occur in points of the space.  Entropy comes in two independent
+flavours (word-count estimates and the spectral radius of the automaton's
+transition matrix, by a sparse power iteration).  Realizability and
+independence of word pairs are decided exactly by one left-to-right
+frontier sweep over the automaton's states, which for independence keeps
+only the subset-minimal frontiers of its u/v branches; the slot search
+carries that sweep from slot to slot, so each candidate slot costs time
+linear in the gap times the antichain size.  Density-certified
+independence feeds the equivalence-closure towers that power the
+entropy-rank reports.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Container, Iterable, Sequence
 
 import numpy as np
@@ -114,55 +117,69 @@ GRAPH_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Pruned order-m de Bruijn presentation of the shift space.
+    """Trimmed Aho-Corasick automaton of the forbidden words.
 
-    States are the allowed m-words with infinite right extensions; an edge
-    joins two states when they overlap in m-1 symbols and the joined word
-    avoids every forbidden factor.  Every state has out-degree >= 1.
+    A state is a prefix of some forbidden word: the longest such prefix
+    that ends the input read so far.  Reading a symbol moves to exactly one
+    state, so the automaton is deterministic and a word occurs in the space
+    iff it labels a path from the root (the empty prefix, index 0).  Only
+    states that are reachable from the root, contain no forbidden word as
+    a suffix and have an infinite future are kept, so every state has
+    out-degree >= 1 and there are at most 1 + sum(len(w)) of them.
     """
 
-    order: int
     states: tuple[str, ...]
-    edges: tuple[tuple[str, ...], ...]  # edges[i] lists successors of states[i]
-    targets: tuple[tuple[int, ...], ...]  # the same successors, as indices
-
-
-def _admissible(word: str, forbidden: Sequence[str]) -> bool:
-    return not any(bad in word for bad in forbidden)
+    # edges[i] lists the (symbol, target index) pairs leaving states[i], in
+    # alphabet order; two symbols may lead to the same target
+    edges: tuple[tuple[tuple[str, int], ...], ...]
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def build_graph(spec: SubshiftSpec) -> TransitionGraph:
-    order = max([len(w) for w in spec.forbidden] + [2]) - 1
-    candidates = [
-        "".join(w)
-        for w in product(spec.alphabet, repeat=order)
-        if _admissible("".join(w), spec.forbidden)
-    ]
-    alive = set(candidates)
-
-    def out(word: str) -> list[str]:
-        nxt = []
-        for symbol in spec.alphabet:
-            joined = word + symbol
-            target = joined[1:]
-            if target in alive and _admissible(joined, spec.forbidden):
-                nxt.append(target)
-        return nxt
-
-    # prune windows with no infinite right extension
+    # the trie of the forbidden words: its nodes are their prefixes
+    trie = {w[:k] for w in spec.forbidden for k in range(len(w) + 1)} | {""}
+    # fail links complete the goto function, shortest prefixes first, since
+    # a fail link is shorter than its node; a node is dead when some
+    # forbidden word is a suffix of its string
+    goto: dict[tuple[str, str], str] = {}
+    fail = {"": ""}
+    dead = set(spec.forbidden)
+    for node in sorted(trie, key=len):
+        if fail[node] in dead:
+            dead.add(node)
+        for a in spec.alphabet:
+            down = goto[fail[node], a] if node else ""
+            if node + a in trie:
+                fail[node + a] = down
+                down = node + a
+            goto[node, a] = down
+    # drop dead states, then states with no infinite future
+    alive = trie - dead
     while True:
-        dead = [w for w in alive if not any(t in alive for t in out(w))]
-        if not dead:
+        stuck = {
+            s for s in alive if all(goto[s, a] not in alive for a in spec.alphabet)
+        }
+        if not stuck:
             break
-        alive.difference_update(dead)
-    if not alive:
+        alive -= stuck
+    if "" not in alive:
         raise EmptySubshiftError("empty subshift")
-    states = tuple(sorted(alive))
-    edges = tuple(tuple(sorted(t for t in out(s) if t in alive)) for s in states)
-    index = {s: i for i, s in enumerate(states)}
-    targets = tuple(tuple(index[t] for t in row) for row in edges)
-    return TransitionGraph(order=order, states=states, edges=edges, targets=targets)
+    # number the states reachable from the root breadth first, root first
+    states = [""]
+    index = {"": 0}
+    for node in states:
+        for a in spec.alphabet:
+            t = goto[node, a]
+            if t in alive and t not in index:
+                index[t] = len(states)
+                states.append(t)
+    return TransitionGraph(
+        states=tuple(states),
+        edges=tuple(
+            tuple((a, index[goto[s, a]]) for a in spec.alphabet if goto[s, a] in alive)
+            for s in states
+        ),
+    )
 
 
 def count_words(spec: SubshiftSpec, n: int) -> int:
@@ -170,12 +187,17 @@ def count_words(spec: SubshiftSpec, n: int) -> int:
     if n < 1:
         raise ValueError("word length must be >= 1")
     graph = build_graph(spec)
-    m = graph.order
-    if n <= m:
-        return len({state[:n] for state in graph.states})
-    paths = [1] * len(graph.states)
-    for _ in range(n - m):
-        paths = [sum(paths[t] for t in row) for row in graph.targets]
+    # paths from the root; the automaton is deterministic, so distinct paths
+    # spell distinct words
+    paths = [0] * len(graph.states)
+    paths[0] = 1
+    for _ in range(n):
+        reached = [0] * len(graph.states)
+        for count, row in zip(paths, graph.edges):
+            if count:
+                for _, t in row:
+                    reached[t] += count
+        paths = reached
     return sum(paths)
 
 
@@ -184,17 +206,13 @@ def enumerate_words(spec: SubshiftSpec, n: int) -> list[str]:
     if n < 1:
         raise ValueError("word length must be >= 1")
     graph = build_graph(spec)
-    m = graph.order
-    if n <= m:
-        return sorted({state[:n] for state in graph.states})
-    frontier = list(enumerate(graph.states))
-    for _ in range(n - m):
+    frontier = [("", 0)]
+    for _ in range(n):
         frontier = [
-            (t, word + graph.states[t][-1])
-            for state, word in frontier
-            for t in graph.targets[state]
+            (word + symbol, t) for word, state in frontier
+            for symbol, t in graph.edges[state]
         ]
-    return sorted({word for _, word in frontier})
+    return sorted(word for word, _ in frontier)
 
 
 def entropy_estimate(spec: SubshiftSpec, n: int) -> float:
@@ -246,41 +264,46 @@ def _scc_partition(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
+def _shifted_product(src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A + I) x for the matrix A with one count per (src[k], dst[k]) edge."""
+    return x + np.bincount(src, weights=x[dst], minlength=len(x))
+
+
 def entropy_spectral(
     spec: SubshiftSpec, tol: float = 1e-10, max_iter: int = 50000
 ) -> float:
     """log of the largest transition eigenvalue, by power iteration per
     strongly connected component (shifted by the identity to kill
-    periodicity), maximum over components."""
+    periodicity), maximum over components.
+
+    The automaton is right-resolving, so its spectral radius gives the
+    entropy of the shift (Lind & Marcus, Symbolic Dynamics and Coding,
+    ch. 4).  The matrix is kept as edge index arrays, so memory is linear
+    in the number of edges.
+    """
     if not tol > 0:  # also rejects nan
         raise ValueError("tol must be positive")
     if math.isinf(tol):
         raise ValueError("tol must be finite")
     graph = build_graph(spec)
-    succ = graph.targets
+    succ = [[t for _, t in row] for row in graph.edges]
     best = 0.0
     for comp in _scc_partition(len(graph.states), succ):
-        inside = set(comp)
         local = {node: k for k, node in enumerate(comp)}
-        a = np.zeros((len(comp), len(comp)))
-        has_edge = False
-        for node in comp:
-            for nxt in succ[node]:
-                if nxt in inside:
-                    a[local[node], local[nxt]] = 1.0
-                    has_edge = True
-        if not has_edge:
+        # one pair per edge, so parallel edges add up in the matrix entry
+        inner = [(local[s], local[t]) for s in comp for t in succ[s] if t in local]
+        if not inner:
             continue
-        shifted = a + np.eye(len(comp))
+        src, dst = (np.array(side, dtype=np.intp) for side in zip(*inner))
         x = np.ones(len(comp)) / math.sqrt(len(comp))
+        y = _shifted_product(src, dst, x)
         lam = 1.0
         converged = False
         for _ in range(max_iter):
-            y = shifted @ x
-            norm = float(np.linalg.norm(y))
-            x = y / norm
-            lam = float(x @ (shifted @ x))
-            residual = float(np.linalg.norm(shifted @ x - lam * x))
+            x = y / float(np.linalg.norm(y))
+            y = _shifted_product(src, dst, x)
+            lam = float(x @ y)
+            residual = float(np.linalg.norm(y - lam * x))
             if residual <= tol * max(1.0, lam):
                 converged = True
                 break
@@ -290,14 +313,14 @@ def entropy_spectral(
                 partial=math.log(max(best, lam - 1.0, 1.0)),
             )
         best = max(best, lam - 1.0)
-    # a pruned graph always contains a cycle, so best >= 1
+    # a trimmed automaton always contains a cycle, so best >= 1
     return math.log(max(best, 1.0))
 
 
 # -- realizability and independence ---------------------------------------
 #
 # Both questions are answered by one left-to-right sweep over shift
-# positions.  A frontier is the set of window-graph states a point can be in
+# positions.  A frontier is the set of automaton states a point can be in
 # given the prescriptions seen so far, kept as a bitmask over graph.states.
 # Independence branches over u/v at every anchor and keeps, for each set of
 # still-pending prescribed symbols, only the subset-minimal frontiers (an
@@ -308,42 +331,24 @@ def entropy_spectral(
 # universality of finite automata", CAV 2006).
 
 
-def _mask(indices: Iterable[int]) -> int:
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits
-
-
 class _Stepper:
     """Advances a frontier by one shift position.
 
-    Below index `order` a frontier is the set of possible first windows, so
-    a prescribed symbol filters it.  From `order` on it is the set of
-    possible windows ending at the index, so a symbol follows the edges
-    whose target ends in it, and a free index (symbol None) follows every
-    edge.
+    images[a][s] is the bitmask of the state that symbol a leads to from
+    state s (0 when a may not follow there), and images[None][s] the mask of
+    every successor of s, for a position with no prescribed symbol.
     """
 
     def __init__(self, graph: TransitionGraph, alphabet: Sequence[str]):
-        states = graph.states
-        self.order = graph.order
-        self.full = (1 << len(states)) - 1
-        self.filters = [
-            {a: _mask(k for k, s in enumerate(states) if s[i] == a) for a in alphabet}
-            for i in range(graph.order)
-        ]
-        self.images = {None: [_mask(row) for row in graph.targets]}
-        for a in alphabet:
-            self.images[a] = [
-                _mask(t for t in row if states[t][-1] == a) for row in graph.targets
-            ]
+        self.images: dict[str | None, list[int]] = {
+            a: [0] * len(graph.states) for a in (None, *alphabet)
+        }
+        for s, row in enumerate(graph.edges):
+            for a, t in row:
+                self.images[a][s] |= 1 << t
+                self.images[None][s] |= 1 << t
 
-    def __call__(self, frontier: int, index: int, symbol: str | None) -> int:
-        if index < self.order:
-            if symbol is None:
-                return frontier
-            return frontier & self.filters[index][symbol]
+    def __call__(self, frontier: int, symbol: str | None) -> int:
         table = self.images[symbol]
         image = 0
         rest = frontier
@@ -352,6 +357,10 @@ class _Stepper:
             image |= table[low.bit_length() - 1]
             rest ^= low
         return image
+
+
+# The frontier before position 0: the root alone (build_graph numbers it 0).
+_ROOT = 1
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -370,7 +379,7 @@ def _insert_minimal(antichain: list[int], frontier: int) -> None:
 
 # A sweep state maps the prescribed symbols still pending (a word starting at
 # the current index) to the antichain of frontiers of the branches that left
-# them; a fresh sweep is {"": [stepper.full]}.
+# them; a fresh sweep is {"": [_ROOT]}.
 _SweepState = dict[str, list[int]]
 
 
@@ -405,7 +414,7 @@ def _sweep(
             symbol = pending[0] if pending else None
             bucket = advanced.setdefault(pending[1:], [])
             for f in antichain:
-                image = step(f, i, symbol)
+                image = step(f, symbol)
                 if not image:
                     return None
                 _insert_minimal(bucket, image)
@@ -435,9 +444,9 @@ def realizable(
             if assigned.get(at, symbol) != symbol:
                 return False
             assigned[at] = symbol
-    frontier = step.full
+    frontier = _ROOT
     for i in range(max(assigned, default=-1) + 1):
-        frontier = step(frontier, i, assigned.get(i))
+        frontier = step(frontier, assigned.get(i))
         if not frontier:
             return False
     return True
@@ -458,7 +467,7 @@ def is_independent(
         raise ValueError("positions must be >= 0")
     _check_words(spec, u, v)
     step = _stepper(spec)
-    fresh = {"": [step.full]}
+    fresh = {"": [_ROOT]}
     return _sweep(step, fresh, 0, jset[-1] + len(u), set(jset), (u, v)) is not None
 
 
@@ -552,7 +561,7 @@ def _search_independence(
     step = _stepper(spec)
     chosen: list[int] = []
     # one frame per depth: [next candidate slot, sweep index, sweep state]
-    frames = [[0, 0, {"": [step.full]}]]
+    frames = [[0, 0, {"": [_ROOT]}]]
     while len(chosen) < target:
         frame = frames[-1]
         j, at, state = frame

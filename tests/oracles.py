@@ -97,10 +97,12 @@ def brute_extendable(alphabet, forbidden, n: int) -> list[str]:
     callers must not mutate the list).
 
     A word extends to infinity iff it extends by enough symbols to force a
-    repeated window (pigeonhole on the set of admissible windows).
+    repeated window (pigeonhole on the set of admissible windows): with W
+    admissible m-windows, W + m more symbols give even the empty word
+    W + 1 windows.
     """
     m = max([len(w) for w in forbidden] + [2]) - 1
-    slack = len(brute_admissible(alphabet, forbidden, m)) + 1
+    slack = len(brute_admissible(alphabet, forbidden, m)) + m
 
     def extends(word: str, remaining: int) -> bool:
         if remaining == 0:

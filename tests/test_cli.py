@@ -352,6 +352,24 @@ class TestEmission:
         assert code == 3
         assert json.loads(out)["error"]["path"] == "/oops"
 
+    def test_sft_schema_error_names_path_once(self, capsys, tmp_path):
+        path = write(
+            tmp_path, "empty_word.json", {"type": "sft", "alphabet": ["0"], "forbidden": [""]}
+        )
+        code, out = run(capsys, ["subshift", "words", path, "--n", "1"])
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["path"] == "/forbidden/0"
+        assert error["message"] == (
+            "/forbidden/0: forbidden words must be non-empty strings"
+        )
+
+    def test_negative_samples_is_input_error(self, capsys, files):
+        code, out = run(capsys, ["rank", files["space_w"], "--samples", "-1"])
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["path"]) == ("input", "--samples")
+
     def test_unknown_field_in_relation(self, capsys, tmp_path):
         path = write(
             tmp_path,

@@ -18,6 +18,29 @@ def random_relation(rng, sp, density=0.25):
     return rel.CellRelation.from_pairs(sp, pairs)
 
 
+class TestPointSpace:
+    def test_lookups(self):
+        sp = rel.space(["b", "a", "c"], {"b": "x", "a": "y", "c": "x"})
+        assert [sp.index(c) for c in ("a", "b", "c")] == [1, 0, 2]
+        assert [sp.parent_of(c) for c in ("a", "b", "c")] == ["y", "x", "x"]
+        with pytest.raises(ValueError):
+            sp.index("z")
+        with pytest.raises(KeyError):
+            sp.parent_of("z")
+        with pytest.raises(ValueError, match="no parent map"):
+            rel.space(["a"]).parent_of("a")
+
+    def test_malformed_spaces_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            rel.space(["a", "a"])
+        with pytest.raises(ValueError, match="total"):
+            rel.space(["a", "b"], {"a": "x"})
+
+    def test_equal_spaces_hash_alike(self):
+        assert rel.space(["a", "b"]) == rel.space(["a", "b"])
+        assert hash(rel.space(["a", "b"])) == hash(rel.space(["a", "b"]))
+
+
 class TestSymRefl:
     def test_example(self):
         sp = rel.space(["a", "b", "c"])

@@ -4,12 +4,15 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ordrank import cli
 from ordrank import subshift as sub
 from ordrank.ordinals import ONE, format_ordinal
 from ordrank.relations import RelationDomain
@@ -31,9 +34,10 @@ class TestParsing:
         assert sum(len(e) for e in graph.edges) == 3
 
     def test_full_shift_graph(self, full_shift):
+        # the root alone, with one self-loop per symbol
         graph = sub.build_graph(full_shift)
-        assert len(graph.states) == 2
-        assert sum(len(e) for e in graph.edges) == 4
+        assert graph.states == ("",)
+        assert graph.edges == ((("0", 0), ("1", 0)),)
 
     def test_empty_subshift_rejected(self):
         text = json.dumps(
@@ -65,10 +69,16 @@ class TestParsing:
         assert err.value.path == path
 
     def test_longer_forbidden_words_raise_the_order(self):
+        # states are the live proper prefixes of the forbidden word, so the
+        # longest state is one symbol shorter than the longest forbidden word
         spec = sub.SubshiftSpec(alphabet=("0", "1"), forbidden=("101",))
         graph = sub.build_graph(spec)
-        assert graph.order == 2
-        assert all(len(s) == 2 for s in graph.states)
+        assert graph.states == ("", "1", "10")
+        assert graph.edges == (
+            (("0", 0), ("1", 1)),
+            (("0", 2), ("1", 1)),
+            (("0", 0),),
+        )
 
 
 class TestCountWords:
@@ -136,6 +146,75 @@ class TestEntropy:
             estimate = sub.entropy_estimate(spec, 20)
             assert abs(estimate - spectral) < 0.05
 
+
+
+def random_long_sft(rng: random.Random) -> tuple[str, tuple[str, ...]]:
+    """2 or 3 letters and 1-3 forbidden words of length 1-5; may be empty."""
+    alphabet = rng.choice(["01", "012"])
+    forbidden = tuple(sorted({
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        for _ in range(rng.randint(1, 3))
+    }))
+    return alphabet, forbidden
+
+
+LONG_WORD_INSTANCE = Path(__file__).with_name("sft_forbidden_length16.json")
+
+
+class TestAutomaton:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_words_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        alphabet, forbidden = random_long_sft(rng)
+        spec = sub.SubshiftSpec(tuple(alphabet), forbidden)
+        if not oracles.brute_extendable(alphabet, forbidden, 1):
+            with pytest.raises(sub.EmptySubshiftError):
+                sub.build_graph(spec)
+            return
+        graph = sub.build_graph(spec)
+        assert len(graph.states) <= 1 + sum(len(w) for w in forbidden)
+        # n <= 8 (n <= 5 on three letters, where the oracle is slower); the
+        # words of each shorter length are the prefixes of the longest ones
+        n_max = 8 if len(alphabet) == 2 else 5
+        longest = oracles.brute_extendable(alphabet, forbidden, n_max)
+        for n in range(1, n_max + 1):
+            expected = sorted({w[:n] for w in longest})
+            assert sub.enumerate_words(spec, n) == expected
+            assert sub.count_words(spec, n) == len(expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_spectral_entropy_against_dense_reference(self, seed):
+        rng = random.Random(seed)
+        alphabet, forbidden = random_long_sft(rng)
+        if not oracles.brute_extendable(alphabet, forbidden, 1):
+            return
+        spec = sub.SubshiftSpec(tuple(alphabet), forbidden)
+        spectral = sub.entropy_spectral(spec, tol=1e-12)
+        # the estimate converges from above
+        assert spectral <= sub.entropy_estimate(spec, rng.randint(1, 12)) + 1e-9
+        # dense adjacency matrix, one count per edge
+        graph = sub.build_graph(spec)
+        dense = np.zeros((len(graph.states), len(graph.states)))
+        for i, row in enumerate(graph.edges):
+            for _, t in row:
+                dense[i, t] += 1
+        radius = max(abs(np.linalg.eigvals(dense)))
+        assert spectral == pytest.approx(math.log(max(radius, 1.0)), abs=1e-7)
+
+    def test_long_forbidden_word_scales(self, capsys):
+        # |A|^15 windows would not fit in memory; the automaton has 16 states
+        data = json.loads(LONG_WORD_INSTANCE.read_text())
+        spec = sub.spec_from_dict(data)
+        assert (len(spec.alphabet), [len(w) for w in spec.forbidden]) == (4, [16])
+        assert len(sub.build_graph(spec).states) <= 1 + 16
+        argv = ["subshift", "entropy", str(LONG_WORD_INSTANCE), "--tol", "1e-12"]
+        code = cli.run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["spectral_converged"] is True
+        assert report["spectral"] == pytest.approx(math.log(4), abs=1e-9)
 
 
 class TestRealizable:
