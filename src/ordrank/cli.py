@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from . import cbspaces, certificates, engine, relations, subshift
@@ -586,8 +587,24 @@ def _cmd_cert_make(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _UsageError(ValueError):
+    """An argv that argparse rejects; reported like any other input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting, so the error reaches
+    `run`'s JSON error path; the usage still goes to stderr.  Subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once: parsing leaves no state on it."""
+    parser = _Parser(
         prog="ordrank",
         description="Ordinal ranks of monotone operators on finitely represented compact spaces",
     )
@@ -659,13 +676,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except (ValueError, engine.UnsupportedDomainError) as exc:
         # InputError and SubshiftInputError carry the path of the bad field
         report = _error_report("input", str(exc), getattr(exc, "path", None))

@@ -10,11 +10,12 @@ flavours (word-count estimates and the spectral radius of the automaton's
 transition matrix, by a sparse power iteration).  Realizability and
 independence of word pairs are decided exactly by one left-to-right
 frontier sweep over the automaton's states, which for independence keeps
-only the subset-minimal frontiers of its u/v branches; the slot search
-carries that sweep from slot to slot, so each candidate slot costs time
-linear in the gap times the antichain size.  Density-certified
-independence feeds the equivalence-closure towers that power the
-entropy-rank reports.
+only the subset-minimal frontiers of its u/v branches.  When prescriptions
+do not overlap (every slot search and certificate), per-spec tables step a
+frontier over a whole word or gap at once, so a candidate slot costs a few
+lookups per antichain member, and the slot search skips subtrees it has
+already seen fail.  Density-certified independence feeds the
+equivalence-closure towers that power the entropy-rank reports.
 """
 
 from __future__ import annotations
@@ -332,11 +333,12 @@ def entropy_spectral(
 
 
 class _Stepper:
-    """Advances a frontier by one shift position.
+    """Advances a frontier by one shift position, a whole word or a gap.
 
     images[a][s] is the bitmask of the state that symbol a leads to from
     state s (0 when a may not follow there), and images[None][s] the mask of
-    every successor of s, for a position with no prescribed symbol.
+    every successor of s, for a position with no prescribed symbol.  `read`
+    and `gap` memoize, per frontier, what non-overlapping prescriptions ask.
     """
 
     def __init__(self, graph: TransitionGraph, alphabet: Sequence[str]):
@@ -347,6 +349,12 @@ class _Stepper:
             for a, t in row:
                 self.images[a][s] |= 1 << t
                 self.images[None][s] |= 1 << t
+        self._reads: dict[tuple[int, str], int] = {}
+        # frontier -> (its gap trajectory [frontier, image, image of that,
+        # ...], the index of each frontier on it); a trajectory stops growing
+        # when it revisits a frontier, and _cycles[frontier] is that index
+        self._paths: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self._cycles: dict[int, int] = {}
 
     def __call__(self, frontier: int, symbol: str | None) -> int:
         table = self.images[symbol]
@@ -358,6 +366,42 @@ class _Stepper:
             rest ^= low
         return image
 
+    def read(self, frontier: int, word: str) -> int:
+        """The frontier after `word` is prescribed, or 0 if it dies."""
+        key = (frontier, word)
+        image = self._reads.get(key)
+        if image is None:
+            image = frontier
+            for symbol in word:
+                image = self(image, symbol)
+                if not image:
+                    break
+            self._reads[key] = image
+        return image
+
+    def gap(self, frontier: int, k: int) -> int:
+        """The frontier after k positions with no prescribed symbol.
+
+        Never 0 for a nonzero frontier, since every state of the trimmed
+        automaton has a successor.  The trajectory grows one step at a time
+        and at most until it cycles, so any k costs one lookup after that.
+        """
+        entry = self._paths.get(frontier)
+        if entry is None:
+            entry = self._paths[frontier] = ([frontier], {frontier: 0})
+        path, index = entry
+        while k >= len(path) and frontier not in self._cycles:
+            image = self(path[-1], None)
+            if image in index:
+                self._cycles[frontier] = index[image]
+            else:
+                index[image] = len(path)
+                path.append(image)
+        if k < len(path):
+            return path[k]
+        start = self._cycles[frontier]
+        return path[start + (k - start) % (len(path) - start)]
+
 
 # The frontier before position 0: the root alone (build_graph numbers it 0).
 _ROOT = 1
@@ -368,58 +412,74 @@ def _stepper(spec: SubshiftSpec) -> _Stepper:
     return _Stepper(build_graph(spec), spec.alphabet)
 
 
-def _insert_minimal(antichain: list[int], frontier: int) -> None:
-    """Add `frontier` to a list of subset-minimal frontiers, keeping it so."""
+def _minimal(frontiers: Iterable[int]) -> tuple[int, ...]:
+    """The subset-minimal members of `frontiers`, sorted."""
+    kept: list[int] = []
+    # a proper subset has fewer states, so it comes first
+    for f in sorted(set(frontiers), key=int.bit_count):
+        for g in kept:
+            if g & f == g:
+                break
+        else:
+            kept.append(f)
+    return tuple(sorted(kept))
+
+
+def _place(
+    step: _Stepper, antichain: tuple[int, ...], gap: int, u: str, v: str
+) -> tuple[int, ...] | None:
+    """The antichain after `gap` unprescribed positions and then u or v, or
+    None if some branch dies.
+
+    Used when prescriptions do not overlap: then no branch has symbols
+    pending between them, so each frontier takes one gap and two word
+    lookups.
+    """
+    images = []
     for f in antichain:
-        if f & frontier == f:
-            return
-    antichain[:] = [g for g in antichain if frontier & g != frontier]
-    antichain.append(frontier)
-
-
-# A sweep state maps the prescribed symbols still pending (a word starting at
-# the current index) to the antichain of frontiers of the branches that left
-# them; a fresh sweep is {"": [_ROOT]}.
-_SweepState = dict[str, list[int]]
+        free = step.gap(f, gap)
+        image_u = step.read(free, u)
+        image_v = step.read(free, v)
+        if not (image_u and image_v):
+            return None
+        images += (image_u, image_v)
+    return _minimal(images)
 
 
 def _sweep(
-    step: _Stepper,
-    state: _SweepState,
-    start: int,
-    stop: int,
-    anchors: Container[int] = (),
-    words: Sequence[str] = (),
-) -> _SweepState | None:
-    """Advance `state` over the indices [start, stop).
+    step: _Stepper, stop: int, anchors: Container[int], words: Sequence[str]
+) -> bool:
+    """Sweep the indices [0, stop) from the root, position by position.
 
     At each index in `anchors`, every branch takes each of `words` in turn.
-    Returns None as soon as some branch is unrealizable: two prescriptions
-    disagree on a symbol, or a frontier empties.
+    The state maps the prescribed symbols still pending (a word starting at
+    the current index) to the antichain of frontiers of the branches that
+    left them.  False as soon as some branch is unrealizable: two
+    prescriptions disagree on a symbol, or a frontier empties.
     """
-    for i in range(start, stop):
+    state: dict[str, tuple[int, ...]] = {"": (_ROOT,)}
+    for i in range(stop):
         if i in anchors:
-            branched: _SweepState = {}
+            branched: dict[str, list[int]] = {}
             for pending, antichain in state.items():
                 for word in words:
                     shared = min(len(pending), len(word))
                     if pending[:shared] != word[:shared]:
-                        return None
-                    bucket = branched.setdefault(max(pending, word, key=len), [])
-                    for f in antichain:
-                        _insert_minimal(bucket, f)
-            state = branched
-        advanced: _SweepState = {}
+                        return False
+                    longer = max(pending, word, key=len)
+                    branched.setdefault(longer, []).extend(antichain)
+            state = {p: _minimal(fs) for p, fs in branched.items()}
+        advanced: dict[str, list[int]] = {}
         for pending, antichain in state.items():
             symbol = pending[0] if pending else None
             bucket = advanced.setdefault(pending[1:], [])
             for f in antichain:
                 image = step(f, symbol)
                 if not image:
-                    return None
-                _insert_minimal(bucket, image)
-        state = advanced
-    return state
+                    return False
+                bucket.append(image)
+        state = {p: _minimal(fs) for p, fs in advanced.items()}
+    return True
 
 
 def _check_words(spec: SubshiftSpec, *words: str) -> None:
@@ -467,8 +527,16 @@ def is_independent(
         raise ValueError("positions must be >= 0")
     _check_words(spec, u, v)
     step = _stepper(spec)
-    fresh = {"": [_ROOT]}
-    return _sweep(step, fresh, 0, jset[-1] + len(u), set(jset), (u, v)) is not None
+    if any(k - j < len(u) for j, k in zip(jset, jset[1:])):
+        return _sweep(step, jset[-1] + len(u), set(jset), (u, v))
+    antichain: tuple[int, ...] | None = (_ROOT,)
+    at = 0
+    for j in jset:
+        antichain = _place(step, antichain, j - at, u, v)
+        if antichain is None:
+            return False
+        at = j + len(u)
+    return True
 
 
 @dataclass(frozen=True)
@@ -527,8 +595,8 @@ class _NodeBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, nodes: int = 1):
+        self.used += nodes
         if self.limit is not None and self.used > self.limit:
             raise _BudgetExceeded
 
@@ -549,10 +617,12 @@ def _search_independence(
     anchor slots inside [0, horizon); complete, so None means none exists.
 
     Slots stride by the word length, so candidate prescriptions never
-    overlap each other.  Each branch carries the sweep state at the end of
-    its last chosen slot, so testing slot j sweeps only the gap up to j and
-    the word at j: per candidate, linear in the stride times the antichain
-    size.
+    overlap each other, and a branch is fully described by the antichain at
+    the end of its last chosen slot: testing slot j is one `_place` from
+    there.  A subtree that fails is recorded by (antichain, first free slot,
+    slots still needed) with the nodes it spent; meeting it again spends
+    those nodes at once instead of searching it, so node counts and budget
+    outcomes are those of the plain search.
     """
     if len(u) != len(v):
         raise ValueError("the two words must have equal length")
@@ -560,26 +630,32 @@ def _search_independence(
     stride = len(u)
     step = _stepper(spec)
     chosen: list[int] = []
-    # one frame per depth: [next candidate slot, sweep index, sweep state]
-    frames = [[0, 0, {"": [_ROOT]}]]
+    # one frame per depth: [next candidate slot, first slot after the last
+    # chosen one, the antichain there, nodes used before the frame]
+    frames: list[list] = [[0, 0, (_ROOT,), 0]]
+    failed: dict[tuple[tuple[int, ...], int, int], int] = {}
     while len(chosen) < target:
         frame = frames[-1]
-        j, at, state = frame
-        if len(chosen) + (horizon - j) < target:  # also ends the slot range
+        j, first, antichain, used = frame
+        need = target - len(chosen)
+        if horizon - j < need:  # also ends the slot range
             frames.pop()
             if not chosen:
                 return None
             chosen.pop()
+            failed[antichain, first, need] = budget.used - used
             continue
         budget.spend()
-        # the gap holds no prescriptions, so it never empties a frontier
-        state = _sweep(step, state, at, j * stride)
-        at = j * stride
-        frame[:] = [j + 1, at, state]
-        after = _sweep(step, state, at, at + stride, (at,), (u, v))
-        if after is not None:
-            chosen.append(j)
-            frames.append([j + 1, at + stride, after])
+        frame[0] = j + 1
+        after = _place(step, antichain, (j - first) * stride, u, v)
+        if after is None:
+            continue
+        known = failed.get((after, j + 1, need - 1))
+        if known is not None:
+            budget.spend(known)
+            continue
+        chosen.append(j)
+        frames.append([j + 1, j + 1, after, budget.used])
     return tuple(chosen)
 
 

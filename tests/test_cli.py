@@ -417,3 +417,31 @@ class TestEmission:
         code, out = run(capsys, ["ordinal", "eval", "^".join(["w"] * 3000)])
         assert code == 3
         assert "exponent tower" in json.loads(out)["error"]["message"]
+
+    def test_usage_errors_are_json_input_errors(self, capsys, files):
+        for argv, message in (
+            (["subshift", "words", files["golden"]], "required: --n"),
+            (["subshift", "ie", files["golden"], "--density", "-1/2"], "--density"),
+            (["subshift", "words", files["golden"], "--n", "x"], "invalid int"),
+            (["rank", files["space_w"], "--no-such-flag"], "unrecognized"),
+            (["martian"], "invalid choice"),
+            ([], "required: command"),
+        ):
+            code, out = run(capsys, argv)
+            assert code == 3
+            error = json.loads(out)["error"]
+            assert error["kind"] == "input"
+            assert message in error["message"]
+
+    def test_help_is_left_alone(self, capsys):
+        code, out = run(capsys, ["--help"])
+        assert code == 0
+        assert out.startswith("usage: ordrank")
+
+    def test_parser_is_built_once(self, capsys, files):
+        parser = cli._build_parser()
+        run(capsys, ["subshift", "words", files["golden"], "--n", "3"])
+        run(capsys, ["subshift", "words", files["golden"]])
+        assert cli._build_parser() is parser
+        code, out = run(capsys, ["subshift", "words", files["golden"], "--n", "5"])
+        assert (code, json.loads(out)["count"]) == (0, 13)

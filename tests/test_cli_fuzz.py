@@ -1,8 +1,12 @@
 """Contract fuzz for the CLI: whatever the argv and instance file, `cli.run`
 returns an exit code in {0, 1, 2, 3} and prints one JSON document.
 
-The argv is always well formed for argparse (whose usage errors go to
-stderr); the values in it and the instance files are not.  Instances stay
+About half of the argv are well formed for argparse, with values and
+instance files that are not; the rest are broken for argparse too (a token
+dropped, an `--option=value` split in two so that a value such as `-1/2`
+reads as an option, or a stray option or argument added), and their usage
+errors must come out as JSON input errors like any other.  `--help` is
+never drawn: its output is the help text, not JSON.  Instances stay
 small (alphabets of at most 3 symbols, horizons up to 12, budgets up to 20)
 so that the whole test runs in a few seconds; the draws are derandomized so
 that every run checks the same examples.
@@ -151,6 +155,24 @@ def invocations(draw):
     return argv, instance_for(draw, ordinal_spaces)
 
 
+@st.composite
+def any_argv(draw):
+    """An invocation, left well formed or broken for argparse."""
+    argv, instance = draw(invocations())
+    how = draw(st.sampled_from(["keep"] * 3 + ["drop", "split", "stray"]))
+    if how == "drop":
+        del argv[draw(st.integers(min_value=0, max_value=len(argv) - 1))]
+    elif how == "split":
+        argv = [
+            part for arg in argv
+            for part in (arg.split("=", 1) if arg.startswith("-") else [arg])
+        ]
+    elif how == "stray":
+        stray = st.sampled_from(["--bogus", "-x", "extra", "--n", "--format", "--format=xml"])
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(stray))
+    return argv, instance
+
+
 GOLDEN_MEAN = {"type": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}
 
 
@@ -159,10 +181,12 @@ def instance_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "instance.json"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(invocation=invocations())
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(invocation=any_argv())
 @example(invocation=(["subshift", "ie", "{path}", "--density=1/0"], GOLDEN_MEAN))
 @example(invocation=(["subshift", "cpe-report", "{path}", "--density=1/0"], GOLDEN_MEAN))
+@example(invocation=(["subshift", "words", "{path}"], GOLDEN_MEAN))
+@example(invocation=(["subshift", "ie", "{path}", "--density", "-1/2"], GOLDEN_MEAN))
 def test_cli_keeps_its_contract(invocation, instance_path):
     argv, instance = invocation
     instance_path.write_text(json.dumps(instance))

@@ -274,6 +274,58 @@ class TestIndependence:
                 )
                 assert sub.is_independent(golden_mean, "0", "1", [j, k]) == expected
 
+    @pytest.mark.parametrize("alphabet, forbidden, u, v, positions", [
+        ("01", ("011", "100"), "0", "1", [1, 3, 5]),
+        ("01", ("011",), "1", "0", [3, 5, 6]),
+        ("012", ("001", "010", "2"), "0", "1", [2, 4, 5]),
+    ])
+    def test_smaller_of_two_comparable_frontiers_decides(
+        self, alphabet, forbidden, u, v, positions
+    ):
+        # after a slot one branch's states are a proper subset of another's,
+        # and only the smaller set dies later; keeping the larger one alone
+        # would call these independent
+        spec = sub.SubshiftSpec(tuple(alphabet), forbidden)
+        assert not oracles.brute_independent(alphabet, forbidden, u, v, positions)
+        assert not sub.is_independent(spec, u, v, positions)
+
+    def test_large_gaps_on_both_paths(self, golden_mean, forbid_01):
+        # a gap longer than the recursion limit; "0"/"1" take the word/gap
+        # tables, and the overlapping "010"/"000" at 0 and 2 the sweep
+        far = max(5000, sys.getrecursionlimit() + 200)
+        assert sub.is_independent(golden_mean, "0", "1", [0, far])
+        assert not sub.is_independent(forbid_01, "0", "1", [0, far])
+        assert sub.is_independent(forbid_01, "1", "1", [0, far])
+        assert sub.is_independent(golden_mean, "010", "000", [0, 2, far])
+        assert not sub.is_independent(golden_mean, "010", "011", [0, 2, far])
+
+
+class TestStepperTables:
+    def test_minimal_keeps_subset_minimal_frontiers(self):
+        frontiers = [0b0111, 0b0001, 0b0110, 0b0001, 0b1111, 0b1000]
+        assert sub._minimal(frontiers) == (0b0001, 0b0110, 0b1000)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_tables_match_single_steps(self, seed):
+        rng = random.Random(seed)
+        spec = random_sft(rng)
+        step = sub._Stepper(sub.build_graph(spec), spec.alphabet)
+        states = len(sub.build_graph(spec).states)
+        for _ in range(5):
+            frontier = rng.randrange(1, 1 << states)
+            word = "".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 4)))
+            expected = frontier
+            for symbol in word:
+                expected = step(expected, symbol)
+            assert step.read(frontier, word) == expected
+            ks = sorted(rng.sample(range(60), 6), reverse=rng.random() < 0.5)
+            for k in ks:
+                expected = frontier
+                for _ in range(k):
+                    expected = step(expected, None)
+                assert step.gap(frontier, k) == expected
+
 
 class TestFindIndependenceSet:
     def test_full_shift_density_one(self, full_shift):
@@ -313,6 +365,23 @@ class TestFindIndependenceSet:
             sub.IndependenceCertificate(
                 spec=golden_mean, u="0", v="1", horizon=8, positions=(0, 1)
             )
+
+    def test_golden_mean_refutations_follow_the_closed_form(self, golden_mean):
+        # at most every other slot is independent, so density 3/5 is refuted
+        # once ceil(3H/5) > ceil(H/2); the lexicographic search then tests
+        # 2^(H - target + 2) - 2 candidates, counted in full even where the
+        # memo of failed subtrees skips them
+        for horizon in range(1, 61):
+            target = math.ceil(Fraction(3, 5) * horizon)
+            if target <= math.ceil(horizon / 2):
+                continue
+            nodes = 2 ** (horizon - target + 2) - 2
+            assert sub.independence_status(
+                golden_mean, "0", "1", horizon, "3/5", node_budget=nodes
+            ) == ("refuted", None), horizon
+            assert sub.independence_status(
+                golden_mean, "0", "1", horizon, "3/5", node_budget=nodes - 1
+            ) == ("unknown", None), horizon
 
     def test_node_budget_reports_unknown(self, golden_mean):
         status, cert = sub.independence_status(
@@ -423,17 +492,24 @@ def random_word_pair(rng: random.Random, spec, length: int) -> tuple[str, str]:
     return word(), word()
 
 
-def reference_search(spec, u, v, horizon, target):
-    """The slot search in the library's branch order, deciding independence
-    by brute force; returns (slots found or None, candidates tested)."""
+def brute_slots(spec, u, v, horizon):
+    """Independence of a set of anchor slots, by brute force."""
     stride = len(u)
     texts = oracles.brute_extendable(spec.alphabet, spec.forbidden, horizon * stride)
-    nodes = 0
 
     def independent(slots):
         need = set(product((u, v), repeat=len(slots)))
         seen = {tuple(t[j * stride:(j + 1) * stride] for j in slots) for t in texts}
         return need <= seen
+
+    return independent
+
+
+def reference_search(horizon, target, independent):
+    """The slot search in the library's branch order, without memo, deciding
+    each candidate slot set with `independent`; returns (slots found or
+    None, candidates tested)."""
+    nodes = 0
 
     def extend(start, chosen):
         nonlocal nodes
@@ -475,7 +551,9 @@ class TestOracleCrossCheck:
         horizon = rng.randint(1, 6 // len(u))
         density = rng.choice(["1/3", "1/2", "2/3", "1"])
         target = max(1, math.ceil(Fraction(density) * horizon))
-        found, nodes = reference_search(spec, u, v, horizon, target)
+        found, nodes = reference_search(
+            horizon, target, brute_slots(spec, u, v, horizon)
+        )
         status, cert = sub.independence_status(spec, u, v, horizon, density)
         assert status == ("refuted" if found is None else "certified")
         assert (cert and cert.positions) == found
@@ -484,3 +562,52 @@ class TestOracleCrossCheck:
                 spec, u, v, horizon, density, node_budget=node_budget
             )
             assert limited == ("unknown" if nodes > node_budget else status)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=10 ** 9))
+    def test_both_independence_paths_match_brute_force(self, overlap, seed):
+        # positions at least len(u) apart take the word/gap tables, others
+        # the sweep; draw each kind on purpose
+        rng = random.Random(seed)
+        spec = random_sft(rng)
+        length = rng.randint(2, 3) if overlap else rng.randint(1, 3)
+        u, v = random_word_pair(rng, spec, length)
+        positions = [rng.randint(0, 2)]
+        for _ in range(rng.randint(1, 3)):
+            step = rng.randint(1, length - 1) if overlap else rng.randint(length, 4)
+            positions.append(positions[-1] + step)
+        positions = [p for p in positions if p + length <= 8]
+        assert overlap == any(k - j < length for j, k in zip(positions, positions[1:]))
+        rng.shuffle(positions)
+        expected = oracles.brute_independent(
+            spec.alphabet, spec.forbidden, u, v, positions
+        )
+        assert sub.is_independent(spec, u, v, positions) == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_memoized_search_counts_every_candidate(self, seed):
+        # longer horizons than the brute-force search reaches, where the
+        # memo of failed subtrees skips work; its node counts must be those
+        # of the plain search
+        rng = random.Random(seed)
+        spec = random_sft(rng)
+        u, v = random_word_pair(rng, spec, rng.randint(1, 2))
+        stride = len(u)
+        horizon = rng.randint(4, 14 // stride)
+        density = rng.choice(["1/3", "1/2", "3/5", "2/3", "3/4"])
+        target = max(1, math.ceil(Fraction(density) * horizon))
+
+        def independent(slots):
+            return sub.is_independent(spec, u, v, [j * stride for j in slots])
+
+        found, nodes = reference_search(horizon, target, independent)
+        status, cert = sub.independence_status(spec, u, v, horizon, density)
+        assert (cert and cert.positions) == found
+        assert sub.independence_status(
+            spec, u, v, horizon, density, node_budget=nodes
+        ) == (status, cert)
+        assert sub.independence_status(
+            spec, u, v, horizon, density, node_budget=nodes - 1
+        ) == ("unknown", None)
